@@ -39,6 +39,7 @@ type prof = {
   mutable p_zero_elems : int;
   mutable p_reallocs : int;
   mutable p_sorts : int;
+  mutable p_mask_scans : int;
 }
 
 let fresh_prof () =
@@ -50,6 +51,7 @@ let fresh_prof () =
     p_zero_elems = 0;
     p_reallocs = 0;
     p_sorts = 0;
+    p_mask_scans = 0;
   }
 
 type run_stats = {
@@ -60,6 +62,7 @@ type run_stats = {
   zero_bytes : int;
   reallocs : int;
   sorts : int;
+  mask_scans : int;
 }
 
 (* Which executor runs the kernel. [`Closure] interprets the Imp IR
@@ -590,6 +593,21 @@ let sort_int_range (arr : int array) lo hi =
   in
   if hi - lo > 1 then qsort lo hi
 
+(* The mask-scan drain of a masked Sort: [mask] marks exactly the
+   [hi - lo] distinct values of the slice, all below [extent], so
+   writing the marked indices in order rebuilds the sorted slice. The
+   scan stops at the last marked index. *)
+let scan_mask_into (arr : int array) lo hi (mask : bool array) extent =
+  let extent = min extent (Array.length mask) in
+  let k = ref lo and x = ref 0 in
+  while !k < hi && !x < extent do
+    if Array.unsafe_get mask !x then begin
+      arr.(!k) <- !x;
+      incr k
+    end;
+    incr x
+  done
+
 (* [cstmt] adds the profiling wrapper (when the context asks for it)
    around the uninstrumented closure from [cstmt_base]; loop iteration
    counts live inside the For/While arms of [cstmt_base] where the trip
@@ -624,10 +642,21 @@ let rec cstmt ctx (s : Imp.stmt) : env -> unit =
           fun env ->
             st.p_reallocs <- st.p_reallocs + 1;
             f env
-      | Imp.Sort _ ->
-          fun env ->
-            st.p_sorts <- st.p_sorts + 1;
-            f env
+      | Imp.Sort (_, lo, hi, m) -> (
+          (* Re-evaluates the pure bounds to tell which drain runs. *)
+          let clo = cint ctx lo and chi = cint ctx hi in
+          match m with
+          | None ->
+              fun env ->
+                st.p_sorts <- st.p_sorts + 1;
+                f env
+          | Some { Imp.extent; _ } ->
+              let cext = cint ctx extent in
+              fun env ->
+                if Imp.mask_scan_pays ~count:(chi env - clo env) ~extent:(cext env) then
+                  st.p_mask_scans <- st.p_mask_scans + 1
+                else st.p_sorts <- st.p_sorts + 1;
+                f env)
       | Imp.For _ | Imp.ParallelFor _ | Imp.While _ | Imp.If _ | Imp.Comment _ -> f)
 
 and cstmt_base ctx (s : Imp.stmt) : env -> unit =
@@ -1235,7 +1264,7 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
       let ct = seq (Array.of_list (List.map (cstmt ctx) t)) in
       let ce = seq (Array.of_list (List.map (cstmt ctx) e)) in
       fun env -> if cc env then ct env else ce env
-  | Imp.Sort (v, lo, hi) ->
+  | Imp.Sort (v, lo, hi, m) -> (
       let s = find_slot ctx v in
       if s.s_dtype <> Imp.Int || not s.s_array then terror "sort expects an int array";
       let i = s.s_index in
@@ -1246,11 +1275,30 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
           oob ~ctx ~var:v ~index:hi ~len:(Array.length arr);
         ignore env
       in
-      fun env ->
-        let arr = env.iarr.(i) in
-        let lo = clo env and hi = chi env in
-        if checked then check_range env arr lo hi;
-        sort_int_range arr lo hi
+      match m with
+      | None ->
+          fun env ->
+            let arr = env.iarr.(i) in
+            let lo = clo env and hi = chi env in
+            if checked then check_range env arr lo hi;
+            sort_int_range arr lo hi
+      | Some { Imp.seen; extent } ->
+          let ms = find_slot ctx seen in
+          if ms.s_dtype <> Imp.Bool || not ms.s_array then terror "sort mask expects a bool array";
+          let mi = ms.s_index in
+          let cext = cint ctx extent in
+          fun env ->
+            let arr = env.iarr.(i) in
+            let lo = clo env and hi = chi env in
+            if checked then check_range env arr lo hi;
+            let extent = cext env in
+            if Imp.mask_scan_pays ~count:(hi - lo) ~extent then begin
+              let mask = env.barr.(mi) in
+              if checked && extent > Array.length mask then
+                oob ~ctx ~var:seen ~index:extent ~len:(Array.length mask);
+              scan_mask_into arr lo hi mask extent
+            end
+            else sort_int_range arr lo hi)
   | Imp.Comment _ -> fun _ -> ()
 
 let build ~checked ~profile ~backend k =
@@ -1503,6 +1551,7 @@ let profile_stats c =
         zero_bytes = 8 * p.p_zero_elems;
         reallocs = p.p_reallocs;
         sorts = p.p_sorts;
+        mask_scans = p.p_mask_scans;
       })
     c.c_prof
 
@@ -1516,7 +1565,8 @@ let profile_reset c =
       p.p_alloc_elems <- 0;
       p.p_zero_elems <- 0;
       p.p_reallocs <- 0;
-      p.p_sorts <- 0
+      p.p_sorts <- 0;
+      p.p_mask_scans <- 0
 
 let empty_int_array : int array = [||]
 
@@ -1525,7 +1575,8 @@ let empty_float_array : float array = [||]
 (* Execute through the native entry point. Bindings are validated with
    the same messages as the closure path; array parameters cross by
    pointer (floats) or round-trip copy (ints, written ones copied
-   back), arrays the kernel allocates come back as the escape list.
+   back), the arrays the kernel returns ([k_returns]) come back through
+   the escape list; its workspaces come back empty and are not readable.
    Runtime failures map to the closure executor's diagnostics and are
    deliberately NOT downgraded: by the time the kernel runs, output
    parameters may be partially written, so retrying through closures
@@ -1576,7 +1627,10 @@ let run_native c l ~deadline_ns ~args =
       Diag.fail ~stage:Diag.Execute ~code:"E_EXEC_NATIVE"
         ~context:[ ("kernel", kname); ("rc", string_of_int n) ]
         "native kernel %s failed with unexpected return code %d" kname n);
-  let escapes = List.mapi (fun i (nm, t) -> (nm, (t, i))) l.Native.l_escapes in
+  let escapes =
+    List.mapi (fun i (nm, t) -> (nm, (t, i))) l.Native.l_escapes
+    |> List.filter (fun (nm, _) -> List.mem_assoc nm c.c_kernel.Imp.k_returns)
+  in
   fun name ->
     match List.assoc_opt name escapes with
     | Some (Imp.Int, i) -> Aint_array (Obj.obj escs.(i) : int array)
@@ -1662,6 +1716,7 @@ let run ?domains ?deadline_ns c ~args =
                 ("zero_bytes", string_of_int zbytes);
                 ("reallocs", string_of_int (d (fun s -> s.reallocs)));
                 ("sorts", string_of_int (d (fun s -> s.sorts)));
+                ("mask_scans", string_of_int (d (fun s -> s.mask_scans)));
               ];
             Trace.add "exec.iterations" iters;
             Trace.add "exec.scalar_ops" sops;

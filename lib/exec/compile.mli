@@ -126,7 +126,10 @@ type run_stats = {
   alloc_elems : int;  (** Total elements allocated. *)
   zero_bytes : int;  (** Bytes zero-initialized (allocs + memsets, 8 B/elem). *)
   reallocs : int;  (** Capacity-growing reallocations. *)
-  sorts : int;  (** Sort statements executed. *)
+  sorts : int;  (** Sort statements drained by sorting. *)
+  mask_scans : int;
+      (** Masked Sort statements drained by scanning their mask
+          ({!Taco_lower.Imp.mask_scan_pays}). *)
 }
 
 (** [Some stats] for kernels compiled with [~profile:true], [None]

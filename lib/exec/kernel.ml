@@ -131,23 +131,26 @@ let run_assemble ?domains ?deadline_ns t ~inputs ~dims =
       in
       go 0 1
     in
+    (* Closure runs hand back capacity-sized arrays; native runs only
+       their live prefix, which needs no second copy. *)
+    let prefix a n = if Array.length a = n then a else Array.sub a 0 n in
     let pos =
       match read (Lower.pos_var result l) with
-      | Compile.Aint_array a -> Array.sub a 0 (parent_size + 1)
+      | Compile.Aint_array a -> prefix a (parent_size + 1)
       | Compile.Aint _ | Compile.Afloat _ | Compile.Afloat_array _ ->
           invalid_arg "Kernel.run_assemble: bad pos read-back"
     in
     let nnz = pos.(parent_size) in
     let crd =
       match read (Lower.crd_var result l) with
-      | Compile.Aint_array a -> Array.sub a 0 nnz
+      | Compile.Aint_array a -> prefix a nnz
       | Compile.Aint _ | Compile.Afloat _ | Compile.Afloat_array _ ->
           invalid_arg "Kernel.run_assemble: bad crd read-back"
     in
     let vals =
       if emit_values then
         match read (Lower.vals_var result) with
-        | Compile.Afloat_array a -> Array.sub a 0 nnz
+        | Compile.Afloat_array a -> prefix a nnz
         | Compile.Aint _ | Compile.Afloat _ | Compile.Aint_array _ ->
             invalid_arg "Kernel.run_assemble: bad vals read-back"
       else Array.make nnz 0.

@@ -108,17 +108,20 @@ let untrack_remove path =
 
 (* Remove every artifact still on disk and the process directory itself
    (which only succeeds once empty). Loaded .so handles stay valid:
-   their inodes are alive until process exit. *)
+   their inodes are alive until process exit. The directory is forgotten
+   too, so a later build in this process creates it afresh. *)
 let cleanup () =
-  let paths =
+  let paths, dir =
     Mutex.lock art_mutex;
     let ps = Hashtbl.fold (fun p () acc -> p :: acc) artifacts [] in
     Hashtbl.reset artifacts;
+    let d = !tmp_dir in
+    tmp_dir := None;
     Mutex.unlock art_mutex;
-    ps
+    (ps, d)
   in
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) paths;
-  match !tmp_dir with
+  match dir with
   | None -> ()
   | Some d -> ( try Sys.rmdir d with Sys_error _ -> ())
 

@@ -63,8 +63,9 @@ val load : Imp.kernel -> (loaded, string) result
 
 (** Invoke the kernel. Returns the entry point's return code (0 ok,
     1 allocation failure/budget, 2 deadline expired) and the escaped
-    arrays ([int array]/[float array] values per [l_escapes]), empty on
-    failure. Emits a [native.run] span. *)
+    arrays ([int array]/[float array] values per [l_escapes]: the live
+    prefix of each array the kernel returns, empty for its workspaces),
+    empty on failure. Emits a [native.run] span. *)
 val run : loaded -> spec -> int * Obj.t array
 
 (** Remove any on-disk build artifacts and the per-process directory.

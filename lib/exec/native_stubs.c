@@ -18,8 +18,9 @@
  *     C side, so they are copied into temporary buffers on the way in
  *     and written back (output kinds only) on the way out;
  *   - arrays the kernel allocates come back through esc/esc_len and
- *     are re-boxed as fresh OCaml arrays; the malloc'd originals are
- *     freed here.
+ *     the first esc_len[i] elements are re-boxed as fresh OCaml arrays:
+ *     the live prefix of a returned array, nothing for a workspace. The
+ *     malloc'd originals are freed here.
  *
  * The call_spec record layout is fixed by lib/exec/native.ml — field
  * order there is field order here:
@@ -137,7 +138,7 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
         value a = Field(Field(vspec, 2), i);
         mlsize_t len = Wosize_val(a);
         for (mlsize_t j = 0; j < len; j++)
-          Store_field(a, j, Val_long((intnat)icopies[i][j]));
+          Field(a, j) = Val_long((intnat)icopies[i][j]);
       }
     }
   }
@@ -154,8 +155,11 @@ CAMLprim value taco_nat_call(value vfn, value vspec)
         if (len > 0) memcpy((double *)varr, esc[i], len * sizeof(double));
       } else {
         varr = caml_alloc(len, 0);
+        /* Immediates need no write barrier: a plain store initializes
+           the fresh block without caml_modify's per-element cost. */
+        const int32_t *src = esc[i];
         for (mlsize_t j = 0; j < len; j++)
-          Store_field(varr, j, Val_long((intnat)((int32_t *)esc[i])[j]));
+          Field(varr, j) = Val_long((intnat)src[j]);
       }
       Store_field(vescs, i, varr);
     }

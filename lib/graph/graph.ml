@@ -1,6 +1,5 @@
 module Tensor = Taco_tensor.Tensor
 module Dense = Taco_tensor.Dense
-module Coo = Taco_tensor.Coo
 module Format = Taco_tensor.Format
 module Semiring = Taco_ir.Semiring
 module I = Taco_ir.Index_notation
@@ -109,11 +108,15 @@ let pagerank ?(backend = `Closure) ?(damping = 0.85) ?(tol = 1e-12) ?(max_iters 
        so ranks flow along edges under a plain (+, ×) SpMV. *)
     let outdeg = Array.make n 0. in
     Tensor.iteri_stored (fun c v -> if v <> 0. then outdeg.(c.(0)) <- outdeg.(c.(0)) +. 1.) a;
-    let coo = Coo.create [| n; n |] in
-    Tensor.iteri_stored
-      (fun c v -> if v <> 0. then Coo.push coo [| c.(1); c.(0) |] (1. /. outdeg.(c.(0))))
-      a;
-    let p = Tensor.pack coo Format.csr in
+    let p =
+      let a_csr =
+        if Format.equal (Tensor.format a) Format.csr then a else Tensor.repack a Format.csr
+      in
+      let at = Taco_ops.Ops.transpose a_csr in
+      let pos, crd, _ = Tensor.csr_arrays at in
+      let vals = Array.map (fun i -> 1. /. outdeg.(i)) crd in
+      Tensor.of_csr ~rows:n ~cols:n pos crd vals
+    in
     let uniform = 1. /. float_of_int n in
     let r0 = Array.make n uniform in
     let step _it r =

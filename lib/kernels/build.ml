@@ -59,6 +59,12 @@ let csr_params ?(output = false) t =
     p_farr ~output (t ^ "_vals");
   ]
 
+(* The CSR result [t] an assembly kernel hands back: pos, and the live
+   prefix of crd and vals. *)
+let csr_returns t =
+  let nnz = idx (t ^ "2_pos") (v (t ^ "1_dimension")) in
+  [ (t ^ "2_pos", v (t ^ "1_dimension") +: i 1); (t ^ "2_crd", nnz); (t ^ "_vals", nnz) ]
+
 let info ~mode ~result ~inputs kernel =
   (match Imp.validate kernel with
   | Ok () -> ()

@@ -65,6 +65,10 @@ val p_farr : ?output:bool -> string -> Imp.param
     t2_pos, t2_crd, t_vals]. *)
 val csr_params : ?output:bool -> string -> Imp.param list
 
+(** The [k_returns] of an assembly kernel whose result is the CSR tensor
+    [t]: [t2_pos], and the live prefix of [t2_crd] and [t_vals]. *)
+val csr_returns : string -> (string * Imp.expr) list
+
 (** Wrap a hand-written kernel as a {!Lower.kernel_info} so the standard
     runner applies. [result]/[inputs] must use naming consistent with the
     kernel's parameters. *)

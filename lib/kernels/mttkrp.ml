@@ -73,7 +73,7 @@ let splatt_like =
     ]
   in
   info ~mode:Lower.Compute ~result:a_var ~inputs:[ b_var; c_var; d_var ]
-    { Imp.k_name = "mttkrp_splatt_like"; k_params = params; k_body = body }
+    { Imp.k_name = "mttkrp_splatt_like"; k_params = params; k_body = body; k_returns = [] }
 
 let reference b c d =
   let dims = T.dims b in

@@ -81,7 +81,12 @@ let eigen_like =
   info
     ~mode:(Lower.Assemble { emit_values = true; sorted = true })
     ~result:a_var ~inputs:[ b_var; c_var ]
-    { Imp.k_name = "spadd_eigen_like"; k_params = params; k_body = body }
+    {
+      Imp.k_name = "spadd_eigen_like";
+      k_params = params;
+      k_body = body;
+      k_returns = csr_returns "A";
+    }
 
 (* Two-pass inspector-executor (MKL-style): a symbolic merge counts each
    row, then a numeric merge fills exactly-sized arrays. *)
@@ -110,7 +115,12 @@ let mkl_like =
   info
     ~mode:(Lower.Assemble { emit_values = true; sorted = true })
     ~result:a_var ~inputs:[ b_var; c_var ]
-    { Imp.k_name = "spadd_mkl_like"; k_params = params; k_body = body }
+    {
+      Imp.k_name = "spadd_mkl_like";
+      k_params = params;
+      k_body = body;
+      k_returns = csr_returns "A";
+    }
 
 (* Plain OCaml sorted merge: the oracle used by the tests. *)
 let merge_add b c =

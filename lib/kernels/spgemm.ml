@@ -132,7 +132,12 @@ let eigen_like =
   info
     ~mode:(Lower.Assemble { emit_values = true; sorted = true })
     ~result:a_var ~inputs:[ b_var; c_var ]
-    { Imp.k_name = "spgemm_eigen_like"; k_params = params; k_body = body }
+    {
+      Imp.k_name = "spgemm_eigen_like";
+      k_params = params;
+      k_body = body;
+      k_returns = csr_returns "A";
+    }
 
 (* MKL-style inspector-executor: a symbolic pass sizes rows exactly, a
    numeric pass fills unsorted values. *)
@@ -180,7 +185,12 @@ let mkl_like =
   info
     ~mode:(Lower.Assemble { emit_values = true; sorted = false })
     ~result:a_var ~inputs:[ b_var; c_var ]
-    { Imp.k_name = "spgemm_mkl_like"; k_params = params; k_body = body }
+    {
+      Imp.k_name = "spgemm_mkl_like";
+      k_params = params;
+      k_body = body;
+      k_returns = csr_returns "A";
+    }
 
 (* Plain OCaml Gustavson, sorted: the oracle used by the tests. *)
 let gustavson b c =
@@ -288,7 +298,7 @@ let hash_workspace ~capacity =
                         (idx "B_vals" (v "pB2") *: idx "C_vals" (v "pC2"));
                     ]);
             ];
-          Imp.Sort ("w_list", i 0, v "w_list_size");
+          Imp.Sort ("w_list", i 0, v "w_list_size", None);
           for_ "q" (i 0) (v "w_list_size")
             ([ decl_int "j" (idx "w_list" (v "q")) ]
             @ probe ~slot_var:"slot" (v "j")
@@ -307,4 +317,9 @@ let hash_workspace ~capacity =
   info
     ~mode:(Lower.Assemble { emit_values = true; sorted = true })
     ~result:a_var ~inputs:[ b_var; c_var ]
-    { Imp.k_name = "spgemm_hash_workspace"; k_params = params; k_body = body }
+    {
+      Imp.k_name = "spgemm_hash_workspace";
+      k_params = params;
+      k_body = body;
+      k_returns = csr_returns "A";
+    }

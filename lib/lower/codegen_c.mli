@@ -30,11 +30,14 @@ val entry_name : string
     with scalar parameters in [iargs]/[fargs] and array parameters in
     [aargs], each bank in kernel-parameter order. Arrays the kernel
     allocates (workspaces, assembled outputs) are handed back through
-    [esc]/[esc_len] in {!exec_escapes} order; the caller owns those
-    buffers on success. Returns 0 on success, 1 when an allocation
-    fails or exceeds [mem_limit] (E_EXEC_MEM), 2 when [deadline_ns]
-    expires (E_EXEC_CANCELLED); on failure all kernel allocations have
-    been freed and [esc] is untouched. Semantics track the closure
+    [esc] in {!exec_escapes} order; the caller owns those buffers on
+    success. [esc_len] holds the length of each returned array's live
+    prefix ([k_returns]) and 0 for workspaces, which nobody reads back.
+    Returns
+    0 on success, 1 when an allocation fails or exceeds [mem_limit]
+    (E_EXEC_MEM), 2 when [deadline_ns] expires (E_EXEC_CANCELLED); on
+    failure all kernel allocations have been freed and [esc] is
+    untouched. Semantics track the closure
     executor bit-for-bit (zeroed [max 1 n] allocations, grow-only
     reallocs with zeroed tails, element-count [> limit/8] budget
     checks, 256-iteration deadline polls in outermost loops).

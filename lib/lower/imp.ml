@@ -37,6 +37,8 @@ type par_info = { par_private : string list; par_stage : par_append option }
 
 type reduce = Red_min | Red_max | Red_or
 
+type sort_mask = { seen : string; extent : expr }
+
 type stmt =
   | Decl of dtype * string * expr
   | Assign of string * expr
@@ -51,12 +53,27 @@ type stmt =
   | ParallelFor of string * expr * expr * stmt list * par_info
   | While of expr * stmt list
   | If of expr * stmt list * stmt list
-  | Sort of string * expr * expr
+  | Sort of string * expr * expr * sort_mask option
   | Comment of string
 
 type param = { p_name : string; p_dtype : dtype; p_array : bool; p_output : bool }
 
-type kernel = { k_name : string; k_params : param list; k_body : stmt list }
+type kernel = {
+  k_name : string;
+  k_params : param list;
+  k_body : stmt list;
+  k_returns : (string * expr) list;
+}
+
+let mask_scan_ratio = 16
+
+let mask_scan_pays ~count ~extent = count * mask_scan_ratio >= extent
+
+let mask_exprs = function None -> [] | Some m -> [ m.extent ]
+
+let mask_names = function None -> [] | Some m -> [ m.seen ]
+
+let map_mask f = Option.map (fun m -> { m with extent = f m.extent })
 
 let add a b =
   match (a, b) with
@@ -130,9 +147,10 @@ let rec expr_nodes = function
 let rec stmt_nodes = function
   | Decl (_, _, e) | Assign (_, e) | Alloc (_, _, e) | Realloc (_, e) | Memset (_, e) ->
       1 + expr_nodes e
-  | Store (_, i, v) | Store_add (_, i, v) | Store_reduce (_, _, i, v) | Fill (_, i, v)
-  | Sort (_, i, v) ->
+  | Store (_, i, v) | Store_add (_, i, v) | Store_reduce (_, _, i, v) | Fill (_, i, v) ->
       1 + expr_nodes i + expr_nodes v
+  | Sort (_, i, v, m) ->
+      List.fold_left (fun acc e -> acc + expr_nodes e) 1 (i :: v :: mask_exprs m)
   | For (_, lo, hi, body) | ParallelFor (_, lo, hi, body, _) ->
       1 + expr_nodes lo + expr_nodes hi + stmts_nodes body
   | While (c, body) -> 1 + expr_nodes c + stmts_nodes body
@@ -210,13 +228,22 @@ let check kernel =
         use_expr c;
         List.iter go_stmt t;
         List.iter go_stmt e
-    | Sort (v, lo, hi) ->
+    | Sort (v, lo, hi, m) ->
         use_var v;
         use_expr lo;
-        use_expr hi
+        use_expr hi;
+        List.iter use_var (mask_names m);
+        List.iter use_expr (mask_exprs m)
     | Comment _ -> ()
   in
-  match List.iter go_stmt kernel.k_body with
+  match
+    List.iter go_stmt kernel.k_body;
+    List.iter
+      (fun (a, n) ->
+        use_var a;
+        use_expr n)
+      kernel.k_returns
+  with
   | () -> Ok ()
   | exception Problem msg -> Error msg
 
@@ -352,13 +379,25 @@ let validate kernel =
         expect Bool c "if condition";
         List.iter go_stmt t;
         List.iter go_stmt e
-    | Sort (v, lo, hi) ->
+    | Sort (v, lo, hi, m) ->
         if array v <> Int then problem "sort on non-int array %s" v;
         expect Int lo "sort lower bound";
-        expect Int hi "sort upper bound"
+        expect Int hi "sort upper bound";
+        Option.iter
+          (fun { seen; extent } ->
+            if array seen <> Bool then problem "sort mask %s is not a bool array" seen;
+            expect Int extent "sort mask extent")
+          m
     | Comment _ -> ()
   in
-  match List.iter go_stmt kernel.k_body with
+  let returned (a, n) =
+    if array a = Bool then problem "bool array %s returned" a;
+    expect Int n (Printf.sprintf "live length of %s" a)
+  in
+  match
+    List.iter go_stmt kernel.k_body;
+    List.iter returned kernel.k_returns
+  with
   | () -> Ok ()
   | exception Problem msg -> Error msg
 
@@ -437,5 +476,9 @@ and pp_stmt_indent fmt n s =
       Format.fprintf fmt "%s} else {@." ind;
       List.iter (pp_stmt_indent fmt (n + 1)) e;
       Format.fprintf fmt "%s}@." ind
-  | Sort (v, lo, hi) -> Format.fprintf fmt "%ssort(%s, %a, %a);@." ind v pp_expr lo pp_expr hi
+  | Sort (v, lo, hi, None) ->
+      Format.fprintf fmt "%ssort(%s, %a, %a);@." ind v pp_expr lo pp_expr hi
+  | Sort (v, lo, hi, Some m) ->
+      Format.fprintf fmt "%ssort(%s, %a, %a; mask %s[0..%a]);@." ind v pp_expr lo pp_expr hi
+        m.seen pp_expr m.extent
   | Comment c -> Format.fprintf fmt "%s// %s@." ind c

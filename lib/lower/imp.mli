@@ -62,6 +62,13 @@ type par_info = { par_private : string list; par_stage : par_append option }
     encodings. The default (+, ×) semiring keeps using {!Store_add}. *)
 type reduce = Red_min | Red_max | Red_or
 
+(** The membership mask a {!Sort} may carry: [seen] is true at exactly
+    the values the sorted slice holds, all of them below [extent] (the
+    workspace guard of paper Fig. 8). With it an executor may rebuild
+    the slice in index order by scanning the mask instead of sorting;
+    see {!mask_scan_pays}. *)
+type sort_mask = { seen : string; extent : expr }
+
 type stmt =
   | Decl of dtype * string * expr
   | Assign of string * expr
@@ -84,7 +91,9 @@ type stmt =
           every domain count (see {!Taco_exec.Compile}). *)
   | While of expr * stmt list
   | If of expr * stmt list * stmt list
-  | Sort of string * expr * expr  (** sort the int array slice [lo, hi) *)
+  | Sort of string * expr * expr * sort_mask option
+      (** sort the int array slice [lo, hi); with a mask, the slice
+          holds distinct values and the executor picks the drain *)
   | Comment of string
 
 type param = {
@@ -94,7 +103,39 @@ type param = {
   p_output : bool;  (** written by the kernel *)
 }
 
-type kernel = { k_name : string; k_params : param list; k_body : stmt list }
+type kernel = {
+  k_name : string;
+  k_params : param list;
+  k_body : stmt list;
+  k_returns : (string * expr) list;
+      (** Arrays the kernel allocates and hands back to its caller, each
+          with the length of its live prefix (evaluated after the body).
+          Allocated arrays not listed are internal workspaces: the
+          native backend frees them rather than copying them back. *)
+}
+
+(** {2 Sort drains} *)
+
+(** A masked {!Sort} of [count] values under a mask of [extent] entries
+    rebuilds the slice by scanning the mask when
+    [count * mask_scan_ratio >= extent] and sorts it otherwise. Both
+    drains yield the same sorted slice, so the choice never changes a
+    result. The ratio is 16, measured with random distinct values
+    (gcc -O3, x86-64): qsort beats a branch-free mask scan below about
+    one value in 16 to 50 mask entries (extents 1e3 to 1e5), and the
+    closure executor's quicksort beats its scan below about one in 8 to
+    25; 16 sits between the two crossovers. *)
+val mask_scan_ratio : int
+
+val mask_scan_pays : count:int -> extent:int -> bool
+
+(** The expressions and array names a sort mask reads ([[]] for none). *)
+val mask_exprs : sort_mask option -> expr list
+
+val mask_names : sort_mask option -> string list
+
+(** Rewrite a sort mask's extent expression. *)
+val map_mask : (expr -> expr) -> sort_mask option -> sort_mask option
 
 (** {2 Smart constructors with constant folding} *)
 

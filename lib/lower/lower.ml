@@ -601,7 +601,21 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
                       let inner = lower_stmt ctx' body in
                       let cl = closes () in
                       (if sorted then
-                         [ Imp.Sort (list_var w, Imp.Int_lit 0, Imp.Var (list_size_var w)) ]
+                         (* The guard array marks exactly the listed
+                            coordinates, so executors may drain the list
+                            by scanning it (Imp.mask_scan_pays). *)
+                         let extent =
+                           match Hashtbl.find_opt st.ws_dims w with
+                           | Some (extent :: _) -> extent
+                           | Some [] | None -> fail "internal: workspace %s has no extent" w
+                         in
+                         [
+                           Imp.Sort
+                             ( list_var w,
+                               Imp.Int_lit 0,
+                               Imp.Var (list_size_var w),
+                               Some { Imp.seen = seen_var w; extent } );
+                         ]
                        else [])
                       @ [
                           Imp.For
@@ -1132,6 +1146,14 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
               | s -> s)
             body
     in
+    (* Positions above the result's compressed level [l]. *)
+    let parent_size l =
+      let rec go lvl acc =
+        if lvl >= l then acc
+        else go (lvl + 1) (Imp.mul acc (Imp.Var (dimension_var result lvl)))
+      in
+      go 0 (Imp.Int_lit 1)
+    in
     (* Kernel prelude for the result. *)
     let result_prelude =
       if F.is_all_dense (Tensor_var.format result) then
@@ -1148,15 +1170,8 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
         | Assemble { emit_values; _ } -> (
             match result_compressed_level result with
             | Some l when l >= 0 ->
-                let parent_size =
-                  let rec go lvl acc =
-                    if lvl >= l then acc
-                    else go (lvl + 1) (Imp.mul acc (Imp.Var (dimension_var result lvl)))
-                  in
-                  go 0 (Imp.Int_lit 1)
-                in
                 [
-                  Imp.Alloc (Imp.Int, pos_var result l, Imp.add parent_size (Imp.Int_lit 1));
+                  Imp.Alloc (Imp.Int, pos_var result l, Imp.add (parent_size l) (Imp.Int_lit 1));
                   Imp.Store (pos_var result l, Imp.Int_lit 0, Imp.Int_lit 0);
                   Imp.Decl (Imp.Int, crd_capacity_var result l, Imp.Int_lit initial_capacity);
                   Imp.Alloc (Imp.Int, crd_var result l, Imp.Var (crd_capacity_var result l));
@@ -1182,18 +1197,11 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
     let pos_fixup =
       match (st.mode, result_compressed_level result) with
       | Assemble _, Some l when l > 0 && st.counter_declared ->
-          let parent_size =
-            let rec go lvl acc =
-              if lvl >= l then acc
-              else go (lvl + 1) (Imp.mul acc (Imp.Var (dimension_var result lvl)))
-            in
-            go 0 (Imp.Int_lit 1)
-          in
           [
             Imp.For
               ( "pfix",
                 Imp.Int_lit 0,
-                parent_size,
+                parent_size l,
                 [
                   Imp.If
                     ( Imp.lt
@@ -1246,8 +1254,24 @@ let lower ?(name = "kernel") ?(splits = []) ?(single_precision = [])
       params_of_tensor result ~output:true
       @ List.concat_map (fun tv -> params_of_tensor tv ~output:false) inputs
     in
+    (* An assembled result comes back as its pos array and the live
+       prefix of crd and vals: pos[parent_size] entries. *)
+    let returns =
+      match (st.mode, result_compressed_level result) with
+      | Assemble { emit_values; _ }, Some l
+        when l >= 0 && not (F.is_all_dense (Tensor_var.format result)) ->
+          let live = Imp.Load (pos_var result l, parent_size l) in
+          [ (pos_var result l, Imp.add (parent_size l) (Imp.Int_lit 1)); (crd_var result l, live) ]
+          @ if emit_values then [ (vals_var result, live) ] else []
+      | (Assemble _ | Compute), _ -> []
+    in
     let kernel =
-      { Imp.k_name = name; k_params = params; k_body = result_prelude @ st.top @ body @ root_closes }
+      {
+        Imp.k_name = name;
+        k_params = params;
+        k_body = result_prelude @ st.top @ body @ root_closes;
+        k_returns = returns;
+      }
     in
     (match Imp.validate kernel with
     | Ok () -> ()

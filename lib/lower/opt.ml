@@ -135,7 +135,7 @@ let assigned_scalars ss =
 let mutated_arrays ss =
   let rec go acc = function
     | Store (a, _, _) | Store_add (a, _, _) | Store_reduce (_, a, _, _) | Realloc (a, _)
-    | Memset (a, _) | Fill (a, _, _) | Sort (a, _, _)
+    | Memset (a, _) | Fill (a, _, _) | Sort (a, _, _, _)
       ->
         SS.add a acc
     | Alloc (_, a, _) -> SS.add a acc
@@ -173,7 +173,7 @@ let map_stmt_exprs f =
     | Realloc (a, n) -> Realloc (a, f n)
     | Memset (a, n) -> Memset (a, f n)
     | Fill (a, n, x) -> Fill (a, f n, f x)
-    | Sort (a, lo, hi) -> Sort (a, f lo, f hi)
+    | Sort (a, lo, hi, m) -> Sort (a, f lo, f hi, map_mask f m)
     | For (v, lo, hi, body) -> For (v, f lo, f hi, List.map go body)
     | ParallelFor (v, lo, hi, body, info) ->
         ParallelFor (v, f lo, f hi, List.map go body, info)
@@ -359,7 +359,9 @@ and simp_stmt env subst s =
   | Realloc (a, n) -> ([ Realloc (a, simp_expr env subst n) ], subst)
   | Memset (a, n) -> ([ Memset (a, simp_expr env subst n) ], subst)
   | Fill (a, n, x) -> ([ Fill (a, simp_expr env subst n, simp_expr env subst x) ], subst)
-  | Sort (a, lo, hi) -> ([ Sort (a, simp_expr env subst lo, simp_expr env subst hi) ], subst)
+  | Sort (a, lo, hi, m) ->
+      let se = simp_expr env subst in
+      ([ Sort (a, se lo, se hi, map_mask se m) ], subst)
   | Comment _ -> ([ s ], subst)
   | If (c, t, e) -> (
       let c' = simp_expr env subst c in
@@ -442,7 +444,7 @@ let memset_fusion_pass k =
            absorbed (scan only drops Memset), so a non-bit-zero fill of
            a freshly calloc'd workspace always survives this pass. *)
         | Store (a, _, _) | Store_add (a, _, _) | Store_reduce (_, a, _, _)
-        | Realloc (a, _) | Memset (a, _) | Fill (a, _, _) | Sort (a, _, _) ->
+        | Realloc (a, _) | Memset (a, _) | Fill (a, _, _) | Sort (a, _, _, _) ->
             a <> v && not (SS.mem a n_names)
         | Alloc (_, x, _) -> x <> v && not (SS.mem x n_names)
         | Comment _ -> true
@@ -747,7 +749,8 @@ let cse_pass k =
     | Store (_, i, x) | Store_add (_, i, x) | Store_reduce (_, _, i, x) | Fill (_, i, x) ->
         (count_expr e i + count_expr e x, false)
     | Realloc (_, n) | Memset (_, n) -> (count_expr e n, false)
-    | Sort (_, lo, hi) -> (count_expr e lo + count_expr e hi, false)
+    | Sort (_, lo, hi, m) ->
+        (List.fold_left (fun acc x -> acc + count_expr e x) 0 (lo :: hi :: mask_exprs m), false)
     | Comment _ -> (0, false)
     | If (c, t, el) ->
         let kills = not (SS.is_empty (SS.inter (assigned_scalars (t @ el)) vars)) in
@@ -790,7 +793,7 @@ let cse_pass k =
         [ e ]
     | Store (_, i, x) | Store_add (_, i, x) | Store_reduce (_, _, i, x) | Fill (_, i, x) ->
         [ i; x ]
-    | Sort (_, lo, hi) -> [ lo; hi ]
+    | Sort (_, lo, hi, m) -> lo :: hi :: mask_exprs m
     | If (c, _, _) -> [ c ]
     | For (_, lo, hi, _) | ParallelFor (_, lo, hi, _, _) -> [ lo; hi ]
     | While _ | Comment _ -> []
@@ -828,7 +831,8 @@ let cse_pass k =
     | Realloc (a, n) -> (Realloc (a, rw avail n), avail)
     | Memset (a, n) -> (Memset (a, rw avail n), avail)
     | Fill (a, n, x) -> (Fill (a, rw avail n, rw avail x), avail)
-    | Sort (a, lo, hi) -> (Sort (a, rw avail lo, rw avail hi), avail)
+    | Sort (a, lo, hi, m) ->
+        (Sort (a, rw avail lo, rw avail hi, map_mask (rw avail) m), avail)
     | Comment _ -> (s, avail)
     | If (c, t, e) ->
         let c' = rw avail c in
@@ -918,7 +922,7 @@ let licm_pass k =
     | Store (_, i, x) | Store_add (_, i, x) | Store_reduce (_, _, i, x) | Fill (_, i, x) ->
         ce (ce acc i) x
     | Alloc (_, _, n) -> ce acc n
-    | Sort (_, lo, hi) -> ce (ce acc lo) hi
+    | Sort (_, lo, hi, m) -> List.fold_left ce acc (lo :: hi :: mask_exprs m)
     | Comment _ -> acc
     | If (c, t, e) ->
         collect_stmts ~spine:false ~asg ~muts
@@ -1050,7 +1054,12 @@ and ue_stmt = function
   | Store (a, i, x) | Store_add (a, i, x) | Store_reduce (_, a, i, x) | Fill (a, i, x) ->
       (SS.add a (SS.union (expr_names i) (expr_names x)), SS.empty)
   | Realloc (a, n) | Memset (a, n) -> (SS.add a (expr_names n), SS.empty)
-  | Sort (a, lo, hi) -> (SS.add a (SS.union (expr_names lo) (expr_names hi)), SS.empty)
+  | Sort (a, lo, hi, m) ->
+      ( List.fold_left
+          (fun acc e -> SS.union acc (expr_names e))
+          (SS.of_list (a :: mask_names m))
+          (lo :: hi :: mask_exprs m),
+        SS.empty )
   | Comment _ -> (SS.empty, SS.empty)
   | If (c, t, e) ->
       let ue_t, kill_t = ue_stmts t in
@@ -1116,7 +1125,9 @@ let dce_pass k =
         ([ s ], SS.add a (re (re live i) x), later)
     | Alloc (_, _, n) -> ([ s ], re live n, later)
     | Realloc (a, n) | Memset (a, n) -> ([ s ], SS.add a (re live n), later)
-    | Sort (a, lo, hi) -> ([ s ], SS.add a (re (re live lo) hi), later)
+    | Sort (a, lo, hi, m) ->
+        let live = List.fold_left (fun l x -> SS.add x l) live (a :: mask_names m) in
+        ([ s ], List.fold_left re live (lo :: hi :: mask_exprs m), later)
     | Comment _ -> ([ s ], live, later)
     | If (c, t, e) ->
         let t', live_t, later_t = go_list t ~live ~later:(SS.union later (assign_targets e)) in

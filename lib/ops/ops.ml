@@ -212,11 +212,47 @@ let sddmm b c d =
     dflat (Taco.run kern ~inputs:[ (bv, b); (cv, c); (dv, d) ])
   end
 
+(* A {dense, compressed} matrix (CSR, or CSC with its modes swapped)
+   transposes into the same format by one counting sort on the inner
+   coordinate: count each inner coordinate, prefix-sum the counts into
+   the new pos array, then scatter entries in outer order, so every new
+   row comes out sorted. Explicit zeros are dropped, as the general path
+   drops them. *)
+let transpose_compressed ~dims ~fmt ~outer pos crd vals =
+  let inner = dims.(Format.mode_of_level fmt 1) in
+  let tpos = Array.make (inner + 1) 0 in
+  Array.iteri (fun k c -> if vals.(k) <> 0. then tpos.(c + 1) <- tpos.(c + 1) + 1) crd;
+  for c = 1 to inner do
+    tpos.(c) <- tpos.(c) + tpos.(c - 1)
+  done;
+  let next = Array.sub tpos 0 inner in
+  let tcrd = Array.make tpos.(inner) 0 and tvals = Array.make tpos.(inner) 0. in
+  for p = 0 to outer - 1 do
+    for k = pos.(p) to pos.(p + 1) - 1 do
+      let v = vals.(k) in
+      if v <> 0. then begin
+        let c = crd.(k) in
+        let q = next.(c) in
+        tcrd.(q) <- p;
+        tvals.(q) <- v;
+        next.(c) <- q + 1
+      end
+    done
+  done;
+  Tensor.of_parts ~dims:[| dims.(1); dims.(0) |] ~format:fmt
+    ~levels:
+      [| Tensor.Dense_data { size = inner }; Tensor.Compressed_data { pos = tpos; crd = tcrd } |]
+    ~vals:tvals
+
 let transpose t =
   if Tensor.order t <> 2 then invalid_arg "Ops.transpose: order-2 only";
   let dims = Tensor.dims t in
-  let coo = Taco_tensor.Coo.create [| dims.(1); dims.(0) |] in
-  Tensor.iteri_stored
-    (fun c v -> if v <> 0. then Taco_tensor.Coo.push coo [| c.(1); c.(0) |] v)
-    t;
-  Tensor.pack coo (Tensor.format t)
+  match (Tensor.level_data t 0, Tensor.level_data t 1) with
+  | Tensor.Dense_data { size = outer }, Tensor.Compressed_data { pos; crd } ->
+      transpose_compressed ~dims ~fmt:(Tensor.format t) ~outer pos crd (Tensor.vals t)
+  | _ ->
+      let coo = Taco_tensor.Coo.create [| dims.(1); dims.(0) |] in
+      Tensor.iteri_stored
+        (fun c v -> if v <> 0. then Taco_tensor.Coo.push coo [| c.(1); c.(0) |] v)
+        t;
+      Tensor.pack coo (Tensor.format t)

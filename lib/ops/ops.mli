@@ -41,5 +41,7 @@ val mttkrp : Tensor.t -> Tensor.t -> Tensor.t -> (Tensor.t, string) result
     (§VI's concretization rule). Output has [B]'s format. *)
 val sddmm : Tensor.t -> Tensor.t -> Tensor.t -> (Tensor.t, string) result
 
-(** [transpose t] swaps the two modes of a matrix (repacking). *)
+(** [transpose t] swaps the two modes of a matrix, keeping its format
+    and dropping explicit zeros. CSR and CSC transpose by one counting
+    sort; other formats repack through a coordinate list. *)
 val transpose : Tensor.t -> Tensor.t

@@ -16,8 +16,12 @@ val length : t -> int
 val push : t -> int array -> float -> unit
 
 (** Entries sorted lexicographically by [perm]-permuted coordinates with
-    duplicate coordinates summed. Returns [(coords, vals)] where
-    [coords.(k)] is the (logical, unpermuted) coordinate of entry [k]. *)
+    duplicate coordinates summed in insertion order. Returns
+    [(cols, vals)] column-major: [cols.(m).(k)] is the mode-[m] (logical,
+    unpermuted) coordinate of entry [k]. Sorts by a stable counting sort
+    per mode, least significant first, in time linear in the entries and
+    the extents; a mode whose extent dwarfs the entry count switches to a
+    comparison sort, so no count array outgrows the data. *)
 val sorted_unique : perm:int array -> t -> int array array * float array
 
 val of_dense : Dense.t -> t

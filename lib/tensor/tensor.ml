@@ -1,4 +1,3 @@
-module Dyn = Taco_support.Dyn_array
 module Util = Taco_support.Util
 
 type level_data =
@@ -74,77 +73,102 @@ let of_parts ~dims ~format ~levels ~vals =
   let t = { dims = Array.copy dims; format; levels; vals } in
   match validate t with Ok () -> t | Error msg -> invalid_arg ("Tensor.of_parts: " ^ msg)
 
+let check_order dims fmt =
+  if Format.order fmt <> Array.length dims then invalid_arg "Tensor.pack: format order mismatch"
+
 let pack coo fmt =
-  let n_modes = Coo.order coo in
-  if Format.order fmt <> n_modes then invalid_arg "Tensor.pack: format order mismatch";
   let dims = Coo.dims coo in
+  check_order dims fmt;
   let perm = Array.of_list (Format.mode_order fmt) in
-  let coords, in_vals = Coo.sorted_unique ~perm coo in
+  let cols, in_vals = Coo.sorted_unique ~perm coo in
   let n = Array.length in_vals in
-  (* Segments: ranges of [coords] rows per position at the current level.
-     Represented as flat (lo, hi) pairs. *)
-  let seg_lo = ref (Dyn.Int.create ()) and seg_hi = ref (Dyn.Int.create ()) in
-  Dyn.Int.push !seg_lo 0;
-  Dyn.Int.push !seg_hi n;
-  let levels = Array.make n_modes (Dense_data { size = 0 }) in
-  for l = 0 to n_modes - 1 do
-    let mode = perm.(l) in
-    let dim = dims.(mode) in
-    let coord_at k = coords.(k).(mode) in
-    let next_lo = Dyn.Int.create () and next_hi = Dyn.Int.create () in
-    (match Format.level fmt l with
-    | Level.Dense ->
-        levels.(l) <- Dense_data { size = dim };
-        for s = 0 to Dyn.Int.length !seg_lo - 1 do
-          let lo = Dyn.Int.get !seg_lo s and hi = Dyn.Int.get !seg_hi s in
-          let p = ref lo in
-          for v = 0 to dim - 1 do
-            let start = !p in
-            while !p < hi && coord_at !p = v do
-              incr p
+  (* Entries arrive sorted in level order, so each one's position at a
+     level is a running count: [p.(k)] is entry k's position at the level
+     just built, and positions never decrease with k. *)
+  let p = Array.make n 0 in
+  let count = ref 1 in
+  let levels =
+    Array.init (Array.length perm) (fun l ->
+        let dim = dims.(perm.(l)) and col = cols.(perm.(l)) in
+        match Format.level fmt l with
+        | Level.Dense ->
+            for k = 0 to n - 1 do
+              p.(k) <- (p.(k) * dim) + col.(k)
             done;
-            Dyn.Int.push next_lo start;
-            Dyn.Int.push next_hi !p
-          done
-        done
-    | Level.Compressed ->
-        let pos = Dyn.Int.create () and crd = Dyn.Int.create () in
-        Dyn.Int.push pos 0;
-        for s = 0 to Dyn.Int.length !seg_lo - 1 do
-          let lo = Dyn.Int.get !seg_lo s and hi = Dyn.Int.get !seg_hi s in
-          let p = ref lo in
-          while !p < hi do
-            let v = coord_at !p in
-            let start = !p in
-            while !p < hi && coord_at !p = v do
-              incr p
+            count := !count * dim;
+            Dense_data { size = dim }
+        | Level.Compressed ->
+            let pos = Array.make (!count + 1) 0 and crd = Array.make n 0 in
+            let u = ref 0 and last_parent = ref (-1) and last_c = ref (-1) in
+            for k = 0 to n - 1 do
+              let parent = p.(k) and c = col.(k) in
+              if parent <> !last_parent || c <> !last_c then begin
+                crd.(!u) <- c;
+                pos.(parent + 1) <- pos.(parent + 1) + 1;
+                incr u;
+                last_parent := parent;
+                last_c := c
+              end;
+              p.(k) <- !u - 1
             done;
-            Dyn.Int.push crd v;
-            Dyn.Int.push next_lo start;
-            Dyn.Int.push next_hi !p
-          done;
-          Dyn.Int.push pos (Dyn.Int.length crd)
+            for q = 1 to !count do
+              pos.(q) <- pos.(q) + pos.(q - 1)
+            done;
+            count := !u;
+            Compressed_data { pos; crd = Array.sub crd 0 !u })
+  in
+  (* [0. +. v]: a stored -0. reads back as 0., as a summed cell would. *)
+  let vals = Array.make !count 0. in
+  for k = 0 to n - 1 do
+    vals.(p.(k)) <- 0. +. in_vals.(k)
+  done;
+  { dims; format = fmt; levels; vals }
+
+(* All-dense formats need no coordinates: every level is implicit, and
+   the value array is the dense buffer with its modes in level order. *)
+let all_dense_levels dims fmt =
+  if Array.exists (fun d -> d <= 0) dims then invalid_arg "Tensor: non-positive dim";
+  Array.init (Format.order fmt) (fun l -> Dense_data { size = dims.(Format.mode_of_level fmt l) })
+
+let of_dense d fmt =
+  let dims = Dense.dims d in
+  check_order dims fmt;
+  if not (Format.is_all_dense fmt) then pack (Coo.of_dense d) fmt
+  else begin
+    let levels = all_dense_levels dims fmt in
+    let buf = Dense.buffer d in
+    let n = Array.length dims in
+    (* [0. +. x] normalizes -0. exactly as [pack] does. *)
+    let vals =
+      if Format.mode_order fmt = List.init n Fun.id then Array.map (fun x -> 0. +. x) buf
+      else begin
+        let stride = Array.make n 1 in
+        for m = n - 2 downto 0 do
+          stride.(m) <- stride.(m + 1) * dims.(m + 1)
         done;
-        levels.(l) <-
-          Compressed_data { pos = Dyn.Int.to_array pos; crd = Dyn.Int.to_array crd });
-    seg_lo := next_lo;
-    seg_hi := next_hi
-  done;
-  let n_out = Dyn.Int.length !seg_lo in
-  let out_vals = Array.make n_out 0. in
-  for s = 0 to n_out - 1 do
-    let lo = Dyn.Int.get !seg_lo s and hi = Dyn.Int.get !seg_hi s in
-    let acc = ref 0. in
-    for k = lo to hi - 1 do
-      acc := !acc +. in_vals.(k)
-    done;
-    out_vals.(s) <- !acc
-  done;
-  { dims; format = fmt; levels; vals = out_vals }
+        let out = Array.make (Array.length buf) 0. in
+        let rec walk l pos off =
+          if l = n then out.(pos) <- 0. +. buf.(off)
+          else
+            let m = Format.mode_of_level fmt l in
+            for c = 0 to dims.(m) - 1 do
+              walk (l + 1) ((pos * dims.(m)) + c) (off + (c * stride.(m)))
+            done
+        in
+        walk 0 0 0;
+        out
+      end
+    in
+    { dims; format = fmt; levels; vals }
+  end
 
-let of_dense d fmt = pack (Coo.of_dense d) fmt
-
-let zero dims fmt = pack (Coo.create dims) fmt
+let zero dims fmt =
+  check_order dims fmt;
+  if not (Format.is_all_dense fmt) then pack (Coo.create dims) fmt
+  else
+    let levels = all_dense_levels dims fmt in
+    let size = Array.fold_left ( * ) 1 dims in
+    { dims = Array.copy dims; format = fmt; levels; vals = Array.make size 0. }
 
 let of_csr ~rows ~cols pos crd vals =
   of_parts ~dims:[| rows; cols |] ~format:Format.csr

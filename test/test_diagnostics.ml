@@ -310,6 +310,7 @@ let test_compile_res_ill_typed () =
         [ { Imp.p_name = "n"; p_dtype = Imp.Int; p_array = false; p_output = false } ];
       k_body =
         [ Imp.Decl (Imp.Float, "f", Imp.Var "n") (* int initializer for a float *) ];
+      k_returns = [];
     }
   in
   (match Imp.validate bad with

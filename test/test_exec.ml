@@ -1,7 +1,8 @@
 module Imp = Taco_lower.Imp
 module Compile = Taco_exec.Compile
 
-let kernel ?(params = []) body = { Imp.k_name = "t"; k_params = params; k_body = body }
+let kernel ?(params = []) body =
+  { Imp.k_name = "t"; k_params = params; k_body = body; k_returns = [] }
 
 let run ?(args = []) k = Compile.run (Compile.compile k) ~args
 
@@ -117,7 +118,7 @@ let test_sort_range () =
       ~args:[ ("a", Compile.Aint_array [| 5; 4; 3; 2; 1 |]) ]
       (kernel
          ~params:[ { Imp.p_name = "a"; p_dtype = Imp.Int; p_array = true; p_output = true } ]
-         [ Imp.Sort ("a", i 1, i 4) ])
+         [ Imp.Sort ("a", i 1, i 4, None) ])
   in
   Alcotest.(check (array int)) "slice sorted" [| 5; 2; 3; 4; 1 |] (read_iarr r "a")
 

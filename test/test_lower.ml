@@ -267,6 +267,7 @@ let test_imp_check_catches_undeclared () =
       Imp.k_name = "bad";
       k_params = [];
       k_body = [ Imp.Assign ("x", Imp.Int_lit 1) ];
+      k_returns = [];
     }
   in
   match Imp.check k with Error _ -> () | Ok () -> Alcotest.fail "expected check failure"

@@ -14,6 +14,7 @@ open Helpers
 open Taco
 module T = Taco_tensor.Tensor
 module F = Taco_tensor.Format
+module Coo = Taco_tensor.Coo
 
 let have_cc = Native.available ()
 
@@ -159,6 +160,67 @@ let test_parallel_domains_identity () =
         Alcotest.failf "native diverges from the %d-domain closure run" domains)
     [ 1; 2; 3 ]
 
+(* --- the assembly drain: mask scan or sort ----------------------------- *)
+
+(* A = B·C with rows of 0, 1, 3, 4 and 64 nonzeros out of 64 columns:
+   empty, one entry, one below the scan threshold (64 / 16 = 4), exactly
+   at it, and full. Row i of A sums C rows 2i (the high half of its
+   columns) and 2i+1 (the low half), so the workspace list of every row
+   with two or more entries is out of order before the drain. *)
+let drain_inputs b c =
+  let cols = 64 in
+  let sizes = [| 0; 1; 3; 4; cols |] in
+  let rows = Array.length sizes in
+  let bcoo = Coo.create [| rows; 2 * rows |] and ccoo = Coo.create [| 2 * rows; cols |] in
+  Array.iteri
+    (fun i n ->
+      if n > 0 then begin
+        Coo.push bcoo [| i; 2 * i |] 1.5;
+        Coo.push bcoo [| i; (2 * i) + 1 |] (-0.5)
+      end;
+      for q = 0 to n - 1 do
+        let k = if q >= n / 2 then 2 * i else (2 * i) + 1 in
+        Coo.push ccoo [| k; q * cols / n |] (0.25 *. float_of_int (q + 1))
+      done)
+    sizes;
+  [ (b, T.pack bcoo F.csr); (c, T.pack ccoo F.csr) ]
+
+let test_drain_threshold () =
+  let b, c, sched = spgemm_sched ~parallel:false in
+  let inputs = drain_inputs b c in
+  let profiled = getd (compile ~name:"spgemm_drain" ~profile:true sched) in
+  let checked = getd (compile ~name:"spgemm_drain" ~checked:true sched) in
+  let native = getd (compile ~name:"spgemm_drain" ~backend:`Native sched) in
+  Alcotest.(check bool) "native backend actually used" true (backend_of native = `Native);
+  Kernel.profile_reset (kernel profiled);
+  let rp = getd (run profiled ~inputs) in
+  let rc = getd (run checked ~inputs) and rn = getd (run native ~inputs) in
+  Alcotest.(check bool) "checked closures bit-identical" true (tensors_bit_identical rp rc);
+  Alcotest.(check bool) "native bit-identical" true (tensors_bit_identical rp rn);
+  Alcotest.(check (array int)) "row sizes" [| 0; 0; 1; 4; 8; 72 |]
+    (match T.level_data rn 1 with T.Compressed_data { pos; _ } -> pos | T.Dense_data _ -> [||]);
+  check_dense "matches the reference interpreter"
+    (eval_cin (Schedule.stmt sched) inputs)
+    (T.to_dense rn);
+  match Kernel.profile_stats (kernel profiled) with
+  | None -> Alcotest.fail "profiled kernel reports no stats"
+  | Some st ->
+      Alcotest.(check int) "rows of 0, 1 and 3 entries sorted" 3 st.Compile.sorts;
+      Alcotest.(check int) "rows of 4 and 64 entries scanned" 2 st.Compile.mask_scans
+
+(* --- build directory: a cleanup does not poison later builds ---------- *)
+
+let test_build_after_cleanup () =
+  let _, _, s1 = spadd_sched ~parallel:false in
+  let k1 = getd (compile ~name:"spadd_before_cleanup" ~backend:`Native s1) in
+  Alcotest.(check bool) "first build native" true (backend_of k1 = `Native);
+  Native.cleanup ();
+  let before = (Compile.backend_stats ()).Compile.downgrades in
+  let _, _, s2 = spgemm_sched ~parallel:false in
+  let k2 = getd (compile ~name:"spgemm_after_cleanup" ~backend:`Native s2) in
+  Alcotest.(check bool) "build after cleanup native" true (backend_of k2 = `Native);
+  Alcotest.(check int) "no downgrade" before (Compile.backend_stats ()).Compile.downgrades
+
 (* --- generated exec C compiles under -Wall -Werror ------------------- *)
 
 let test_exec_c_warning_clean () =
@@ -264,7 +326,9 @@ let () =
           cc_case "native vs chunked closure runs" test_parallel_domains_identity;
         ] );
       ("codegen", [ cc_case "exec C is -Wall -Werror clean" test_exec_c_warning_clean ]);
+      ("drain", [ cc_case "rows straddling the mask-scan threshold" test_drain_threshold ]);
       ("cache", [ cc_case "native builds single-flight across domains" test_single_flight ]);
+      ("build dir", [ cc_case "native build after cleanup" test_build_after_cleanup ]);
       ( "fallback",
         [
           Alcotest.test_case "bogus TACO_CC downgrades to closures" `Quick

@@ -21,7 +21,8 @@ let v n = Imp.Var n
 
 let i n = Imp.Int_lit n
 
-let kernel ?(params = []) ?(name = "t") body = { Imp.k_name = name; k_params = params; k_body = body }
+let kernel ?(params = []) ?(name = "t") body =
+  { Imp.k_name = name; k_params = params; k_body = body; k_returns = [] }
 
 let only_simplify = { Opt.none with simplify = true }
 

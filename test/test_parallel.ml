@@ -182,6 +182,7 @@ let test_degenerate_zero_rows () =
                   Some { Imp.pa_counter = "c"; pa_arrays = [ "buf" ]; pa_pos = None };
               } );
         ];
+      k_returns = [];
     }
   in
   let compiled = Compile.compile ~opt:Taco_lower.Opt.none (kernel "n") in

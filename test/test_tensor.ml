@@ -77,9 +77,9 @@ let test_coo_duplicates_sum () =
   Coo.push c [| 1; 2 |] 1.5;
   Coo.push c [| 1; 2 |] 2.5;
   Coo.push c [| 0; 0 |] 1.;
-  let coords, vals = Coo.sorted_unique ~perm:[| 0; 1 |] c in
+  let cols, vals = Coo.sorted_unique ~perm:[| 0; 1 |] c in
   Alcotest.(check int) "two unique entries" 2 (Array.length vals);
-  Alcotest.(check (array int)) "first coordinate" [| 0; 0 |] coords.(0);
+  Alcotest.(check (array int)) "first coordinate" [| 0; 0 |] [| cols.(0).(0); cols.(1).(0) |];
   Alcotest.(check (float 0.)) "summed value" 4. vals.(1)
 
 let test_coo_permuted_sort () =
@@ -87,8 +87,8 @@ let test_coo_permuted_sort () =
   Coo.push c [| 0; 1 |] 1.;
   Coo.push c [| 1; 0 |] 2.;
   (* Column-major permutation sorts by column first. *)
-  let coords, _ = Coo.sorted_unique ~perm:[| 1; 0 |] c in
-  Alcotest.(check (array int)) "column 0 first" [| 1; 0 |] coords.(0)
+  let cols, _ = Coo.sorted_unique ~perm:[| 1; 0 |] c in
+  Alcotest.(check (array int)) "column 0 first" [| 1; 0 |] [| cols.(0).(0); cols.(1).(0) |]
 
 let test_coo_bounds () =
   let c = Coo.create [| 2; 2 |] in
@@ -253,6 +253,183 @@ let prop_get_matches_dense =
       D.iteri (fun c v -> if T.get t (Array.copy c) <> v then ok := false) d;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Equivalence battery: the linear-time constructions against simple   *)
+(* references                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let identical t1 t2 =
+  T.dims t1 = T.dims t2
+  && F.equal (T.format t1) (T.format t2)
+  && bits_equal (T.vals t1) (T.vals t2)
+  && List.for_all
+       (fun l ->
+         match (T.level_data t1 l, T.level_data t2 l) with
+         | T.Dense_data { size = a }, T.Dense_data { size = b } -> a = b
+         | T.Compressed_data a, T.Compressed_data b -> a.pos = b.pos && a.crd = b.crd
+         | T.Dense_data _, T.Compressed_data _ | T.Compressed_data _, T.Dense_data _ -> false)
+       (List.init (T.order t1) Fun.id)
+
+(* Reference packer: a stable comparison sort of the entries by their
+   level-order coordinates, duplicates summed in insertion order, then
+   each level built from the ranges of entries that share a prefix. *)
+let reference_pack dims fmt entries =
+  let perm = Array.of_list (F.mode_order fmt) in
+  let key (c, _) = Array.map (fun m -> c.(m)) perm in
+  let sorted = List.stable_sort (fun a b -> compare (key a) (key b)) entries in
+  let uniq =
+    List.fold_left
+      (fun acc e ->
+        match acc with
+        | (k, sum) :: rest when k = key e -> (k, sum +. snd e) :: rest
+        | _ -> (key e, snd e) :: acc)
+      [] sorted
+    |> List.rev |> Array.of_list
+  in
+  let segs = ref [ (0, Array.length uniq) ] in
+  let levels =
+    Array.init (Array.length perm) (fun l ->
+        let dim = dims.(perm.(l)) in
+        let children = ref [] in
+        let coord q = (fst uniq.(q)).(l) in
+        let lvl =
+          match F.level fmt l with
+          | L.Dense ->
+              List.iter
+                (fun (lo, hi) ->
+                  let q = ref lo in
+                  for c = 0 to dim - 1 do
+                    let start = !q in
+                    while !q < hi && coord !q = c do
+                      incr q
+                    done;
+                    children := (start, !q) :: !children
+                  done)
+                !segs;
+              T.Dense_data { size = dim }
+          | L.Compressed ->
+              let pos = ref [ 0 ] and crd = ref [] and n = ref 0 in
+              List.iter
+                (fun (lo, hi) ->
+                  let q = ref lo in
+                  while !q < hi do
+                    let c = coord !q and start = !q in
+                    while !q < hi && coord !q = c do
+                      incr q
+                    done;
+                    crd := c :: !crd;
+                    incr n;
+                    children := (start, !q) :: !children
+                  done;
+                  pos := !n :: !pos)
+                !segs;
+              T.Compressed_data
+                { pos = Array.of_list (List.rev !pos); crd = Array.of_list (List.rev !crd) }
+        in
+        segs := List.rev !children;
+        lvl)
+  in
+  let vals = List.map (fun (lo, hi) -> if lo < hi then 0. +. snd uniq.(lo) else 0.) !segs in
+  T.of_parts ~dims ~format:fmt ~levels ~vals:(Array.of_list vals)
+
+let battery_formats =
+  [
+    F.csr;
+    F.csc;
+    F.dcsr;
+    F.dense_matrix;
+    F.of_levels [ L.Compressed; L.Dense ];
+    F.csf 3;
+    F.of_levels [ L.Dense; L.Compressed; L.Compressed ];
+    F.sparse_vector;
+  ]
+
+(* Values chosen so that the order of a duplicate sum shows in the bits
+   (1e16 + 1 - 1e16), with signed and explicit zeros. *)
+let battery_values = [| 1.; 0.1; -0.; 0.; 1e16; -1e16; 2.5; -3. |]
+
+let battery_value prng = battery_values.(Prng.int prng (Array.length battery_values))
+
+(* Dense levels stay small (they materialize every position); compressed
+   ones sometimes get an extent far above the entry count, which takes
+   the comparison-sort fallback. Coordinates come from three values per
+   mode, so duplicates are common; a quarter of the cases are empty. *)
+let battery_case prng fmt =
+  let order = F.order fmt in
+  let dims = Array.make order 1 in
+  for l = 0 to order - 1 do
+    dims.(F.mode_of_level fmt l) <-
+      (match F.level fmt l with
+      | L.Dense -> 1 + Prng.int prng 6
+      | L.Compressed -> (
+          match Prng.int prng 3 with
+          | 0 -> 1 + Prng.int prng 6
+          | 1 -> 1 + Prng.int prng 40
+          | _ -> 1_000_000))
+  done;
+  let n = if Prng.int prng 4 = 0 then 0 else Prng.int prng 50 in
+  let pools = Array.map (fun d -> Array.init 3 (fun _ -> Prng.int prng d)) dims in
+  let entries =
+    List.init n (fun _ ->
+        (Array.map (fun pool -> pool.(Prng.int prng 3)) pools, battery_value prng))
+  in
+  (dims, entries)
+
+let prop_pack_matches_reference =
+  Helpers.qcheck_case ~count:300 "pack = comparison-sort reference"
+    QCheck.(pair (0 -- 100_000) (0 -- (List.length battery_formats - 1)))
+    (fun (seed, f) ->
+      let fmt = List.nth battery_formats f in
+      let dims, entries = battery_case (Prng.create seed) fmt in
+      let coo = Coo.create dims in
+      List.iter (fun (c, v) -> Coo.push coo c v) entries;
+      identical (T.pack coo fmt) (reference_pack dims fmt entries))
+
+let dense_formats =
+  [
+    F.dense_vector;
+    F.dense_matrix;
+    F.make [ L.Dense; L.Dense ] ~mode_order:[ 1; 0 ];
+    F.dense 3;
+    F.make [ L.Dense; L.Dense; L.Dense ] ~mode_order:[ 2; 0; 1 ];
+  ]
+
+let prop_dense_direct_matches_coo =
+  Helpers.qcheck_case ~count:200 "direct zero/of_dense = COO path (incl. -0.)"
+    QCheck.(pair (0 -- 100_000) (0 -- (List.length dense_formats - 1)))
+    (fun (seed, f) ->
+      let fmt = List.nth dense_formats f in
+      let prng = Prng.create seed in
+      let dims = Array.init (F.order fmt) (fun _ -> 1 + Prng.int prng 5) in
+      let d = D.init dims (fun _ -> battery_value prng) in
+      identical (T.of_dense d fmt) (T.pack (Coo.of_dense d) fmt)
+      && identical (T.zero dims fmt) (T.pack (Coo.create dims) fmt))
+
+(* The general transpose: every nonzero through a coordinate list. *)
+let coo_transpose t =
+  let dims = T.dims t in
+  let coo = Coo.create [| dims.(1); dims.(0) |] in
+  T.iteri_stored (fun c v -> if v <> 0. then Coo.push coo [| c.(1); c.(0) |] v) t;
+  T.pack coo (T.format t)
+
+let prop_transpose_matches_coo =
+  Helpers.qcheck_case ~count:200 "Ops.transpose = COO transpose (explicit zeros)"
+    QCheck.(pair (0 -- 100_000) bool)
+    (fun (seed, csc) ->
+      let fmt = if csc then F.csc else F.csr in
+      let prng = Prng.create seed in
+      let dims = [| 1 + Prng.int prng 12; 1 + Prng.int prng 12 |] in
+      let coo = Coo.create dims in
+      for _ = 1 to Prng.int prng 60 do
+        Coo.push coo [| Prng.int prng dims.(0); Prng.int prng dims.(1) |] (battery_value prng)
+      done;
+      let t = T.pack coo fmt in
+      identical (Taco_ops.Ops.transpose t) (coo_transpose t))
+
 let () =
   Alcotest.run "tensor"
     [
@@ -288,6 +465,9 @@ let () =
           prop_pack_roundtrip;
           prop_get_matches_dense;
         ] );
+      ( "reference",
+        [ prop_pack_matches_reference; prop_dense_direct_matches_coo; prop_transpose_matches_coo ]
+      );
       ( "generators",
         [
           Alcotest.test_case "exact nnz" `Quick test_gen_exact_nnz;

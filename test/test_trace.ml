@@ -14,7 +14,7 @@ let v n = Imp.Var n
 let i n = Imp.Int_lit n
 
 let kernel ?(params = []) ?(name = "t") body =
-  { Imp.k_name = name; k_params = params; k_body = body }
+  { Imp.k_name = name; k_params = params; k_body = body; k_returns = [] }
 
 (* A kernel the optimizer changes, so [~opt:Opt.none] and [~opt:Opt.all]
    compile to structurally different kernels and occupy distinct cache
