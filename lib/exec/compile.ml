@@ -2,6 +2,7 @@ module Imp = Taco_lower.Imp
 module Diag = Taco_support.Diag
 module Trace = Taco_support.Trace
 module Fault = Taco_support.Faultinject
+module Cache = Taco_support.Cache
 
 type arg =
   | Aint of int
@@ -1355,15 +1356,14 @@ let build ~checked ~profile ~backend k =
 (* Compiled-kernel cache                                               *)
 (*                                                                     *)
 (* Keyed by a digest of the post-optimization kernel structure plus    *)
-(* the checked flag, so repeated scheduling/benchmark runs of the same *)
-(* kernel skip closure compilation. The digest is only a lookup key:   *)
-(* on a hit the stored kernel is compared structurally and a mismatch  *)
-(* (digest collision, or NaN literals defeating structural equality)   *)
-(* falls back to a fresh compile. Compiled closures are immutable and  *)
-(* reusable across runs; the mutex keeps the table safe under domains. *)
+(* the checked/profile flags and backend, so repeated scheduling and   *)
+(* benchmark runs of the same kernel skip compilation. The digest is   *)
+(* only a lookup key: the validity predicate compares the stored       *)
+(* kernel structurally, and a mismatch (digest collision, or NaN       *)
+(* literals defeating structural equality) rebuilds and replaces it.   *)
 (* ------------------------------------------------------------------ *)
 
-type cache_stats = {
+type cache_stats = Cache.stats = {
   hits : int;
   misses : int;
   entries : int;
@@ -1371,36 +1371,11 @@ type cache_stats = {
   coalesced : int;
 }
 
-let cache_table : (string, compiled) Hashtbl.t = Hashtbl.create 64
+let kernels : compiled Cache.t = Cache.create ~name:"compile" ~capacity:512
 
-let cache_mutex = Mutex.create ()
+let cache_stats () = Cache.stats kernels
 
-(* Signalled whenever an in-flight build finishes (successfully or not),
-   waking domains that coalesced onto it. *)
-let cache_cond = Condition.create ()
-
-(* Keys whose build is currently running on some domain. Guarded by
-   [cache_mutex]. *)
-let cache_in_flight : (string, unit) Hashtbl.t = Hashtbl.create 8
-
-let cache_hits = ref 0
-
-let cache_misses = ref 0
-
-let cache_evictions = ref 0
-
-let cache_coalesced = ref 0
-
-let cache_capacity = ref 512
-
-(* Insertion order; every key in [cache_table] is in this queue exactly
-   once (insertions push only new keys, eviction is the only removal
-   besides [cache_clear]). *)
-let cache_order : string Queue.t = Queue.create ()
-
-let locked f =
-  Mutex.lock cache_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
+let cache_clear () = Cache.clear kernels
 
 let cache_key ~checked ~profile ~backend (k : Imp.kernel) =
   (* The compiler string joins the key for native entries: a cached .so
@@ -1411,43 +1386,6 @@ let cache_key ~checked ~profile ~backend (k : Imp.kernel) =
     match backend with `Closure -> "closure" | `Native -> "native:" ^ Native.compiler_id ()
   in
   Digest.string (Marshal.to_string (checked, profile, btag, k) [])
-
-let cache_stats () =
-  locked (fun () ->
-      {
-        hits = !cache_hits;
-        misses = !cache_misses;
-        entries = Hashtbl.length cache_table;
-        evictions = !cache_evictions;
-        coalesced = !cache_coalesced;
-      })
-
-let cache_clear () =
-  locked (fun () ->
-      Hashtbl.reset cache_table;
-      Queue.clear cache_order;
-      (* In-flight builds are owned by their building domain; leave the
-         markers so their completion signal still pairs up. *)
-      cache_hits := 0;
-      cache_misses := 0;
-      cache_evictions := 0;
-      cache_coalesced := 0)
-
-let set_cache_capacity n = locked (fun () -> cache_capacity := max 1 n)
-
-(* Call under the cache mutex. Returns how many entries were evicted. *)
-let rec evict_over_capacity dropped =
-  if Hashtbl.length cache_table <= !cache_capacity then dropped
-  else
-    match Queue.take_opt cache_order with
-    | None -> dropped
-    | Some old ->
-        let present = Hashtbl.mem cache_table old in
-        if present then begin
-          Hashtbl.remove cache_table old;
-          incr cache_evictions
-        end;
-        evict_over_capacity (if present then dropped + 1 else dropped)
 
 let compile_inner ~checked ~profile ?opt ~cache ~backend k =
   (* Before the cache lookup, so an armed rule fires on hits too. *)
@@ -1463,69 +1401,18 @@ let compile_inner ~checked ~profile ?opt ~cache ~backend k =
   in
   if not cache then build_traced ()
   else begin
-    let key = cache_key ~checked ~profile ~backend k in
-    (* Single-flight: under the mutex, either take a valid entry (hit),
-       or — when another domain is already building this key — wait for
-       its completion signal and re-check (a coalesced hit), or claim
-       the build by marking the key in flight. Many concurrent requests
-       for the same kernel structure thus compile it exactly once —
-       including the gcc invocation of a native build, which is the
-       cache's most expensive coalesced unit. *)
+    (* Single-flight: concurrent requests for one kernel structure
+       compile it once — including the cc run of a native build, the
+       most expensive coalesced unit. *)
     let valid c =
       c.c_checked = checked
       && c.c_prof <> None = profile
       && c.c_requested = backend
       && c.c_kernel = k
     in
-    let decision =
-      locked (fun () ->
-          let rec acquire ~waited =
-            match Hashtbl.find_opt cache_table key with
-            | Some c when valid c ->
-                incr cache_hits;
-                if waited then incr cache_coalesced;
-                `Hit c
-            | _ ->
-                if Hashtbl.mem cache_in_flight key then begin
-                  Condition.wait cache_cond cache_mutex;
-                  acquire ~waited:true
-                end
-                else begin
-                  Hashtbl.replace cache_in_flight key ();
-                  `Build
-                end
-          in
-          acquire ~waited:false)
-    in
-    match decision with
-    | `Hit c ->
-        Trace.add "compile.cache.hit" 1;
-        c
-    | `Build ->
-        let release () =
-          Hashtbl.remove cache_in_flight key;
-          Condition.broadcast cache_cond
-        in
-        let c =
-          match build_traced () with
-          | c -> c
-          | exception e ->
-              locked release;
-              raise e
-        in
-        let dropped =
-          locked (fun () ->
-              incr cache_misses;
-              let fresh = not (Hashtbl.mem cache_table key) in
-              Hashtbl.replace cache_table key c;
-              if fresh then Queue.push key cache_order;
-              let dropped = evict_over_capacity 0 in
-              release ();
-              dropped)
-        in
-        Trace.add "compile.cache.miss" 1;
-        if dropped > 0 then Trace.add "compile.cache.evict" dropped;
-        c
+    Cache.find_or_build kernels ~valid (cache_key ~checked ~profile ~backend k) (fun () ->
+        Ok (build_traced ()))
+    |> Result.get_ok |> fst
   end
 
 let compile ?(checked = false) ?(profile = false) ?opt ?(cache = true) ?(backend = `Closure) k =

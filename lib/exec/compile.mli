@@ -63,14 +63,15 @@ val native_phases : compiled -> Native.phases option
     every pass, so a malformed kernel is rejected here with the
     validator's message.
 
-    With [~cache:true] (the default) compiled kernels are memoized in a
-    process-wide table keyed by the structure of the post-optimization
-    kernel, the [checked]/[profile] flags and the requested [backend]
-    (including the resolved compiler for [`Native], so changing
-    [TACO_CC] never serves a stale entry); recompiling an identical
-    kernel returns the cached executable. Native builds join the same
-    single-flight discipline: one [cc] invocation per distinct
-    structure, however many domains race for it.
+    With [~cache:true] (the default) compiled kernels are memoized in
+    the process-wide compiled-kernel cache (see below), keyed by the
+    structure of the post-optimization kernel, the [checked]/[profile]
+    flags and the requested [backend] (including the resolved compiler
+    for [`Native], so changing [TACO_CC] never serves a stale entry);
+    recompiling an identical kernel returns the cached executable.
+    Native builds join the same single-flight discipline: one [cc]
+    invocation per distinct structure, however many domains race for
+    it.
 
     With [~checked:true] the compiled closures bounds-check every array
     load, store and memset; a violation raises
@@ -141,17 +142,21 @@ val profile_reset : compiled -> unit
 
 (** {2 Compiled-kernel cache}
 
-    The cache is domain-safe: the table and its counters sit behind a
-    mutex, and compilation is single-flighted — when several domains
+    One 512-entry {!Taco_support.Cache} instance named ["compile"]: a
+    bounded FIFO behind a mutex, single-flighted — when several domains
     concurrently request the same (not yet cached) kernel structure,
-    exactly one builds it while the rest block and then take the cached
-    result. [misses] therefore counts actual closure builds: each
-    distinct kernel structure compiles exactly once per process however
-    many domains race for it. *)
+    exactly one builds it while the rest wait and take its result.
+    [misses] therefore counts actual builds: each distinct kernel
+    structure compiles once per process however many domains race for
+    it. Its validity predicate compares the cached kernel structurally
+    with the requested one, so a digest collision rebuilds. Counters:
+    Trace [compile.cache.{hit,miss,evict}]; with metrics on,
+    [taco_compile_cache_{hits,misses}_total] and
+    [taco_compile_cache_size]. *)
 
-type cache_stats = {
+type cache_stats = Taco_support.Cache.stats = {
   hits : int;  (** Lookups served from the table. *)
-  misses : int;  (** Closure builds (one per distinct structure). *)
+  misses : int;  (** Builds (one per distinct structure). *)
   entries : int;
   evictions : int;
   coalesced : int;
@@ -161,12 +166,8 @@ type cache_stats = {
 
 val cache_stats : unit -> cache_stats
 
+(** Drop all entries and reset the counters. *)
 val cache_clear : unit -> unit
-
-(** Bound the cache to [n] (>= 1) entries; the oldest entries beyond the
-    bound are evicted insertion-first (FIFO) and counted in
-    [cache_stats().evictions]. Default capacity: 512. *)
-val set_cache_capacity : int -> unit
 
 (** Was the kernel compiled with [~checked:true]? *)
 val is_checked : compiled -> bool

@@ -1,6 +1,7 @@
 module Tensor = Taco_tensor.Tensor
 module Dense = Taco_tensor.Dense
 module Format = Taco_tensor.Format
+module Cache = Taco_support.Cache
 module Semiring = Taco_ir.Semiring
 module I = Taco_ir.Index_notation
 module Schedule = Taco_ir.Schedule
@@ -21,19 +22,11 @@ let backend_tag = function `Closure -> "closure" | `Native -> "native"
 (* Compiled-kernel cache keyed by operation, semiring, formats and
    backend (the backend is part of the key so a suite can compare
    executors without evicting each other's kernels). *)
-let cache : (string, Taco.compiled) Hashtbl.t = Hashtbl.create 16
+let cache : Taco.compiled Cache.t = Cache.create ~name:"graph" ~capacity:256
 
 let cache_key op sr backend fmts =
   String.concat "|"
     (op :: sr.Semiring.name :: backend_tag backend :: List.map Format.to_string fmts)
-
-let compiled ~key build =
-  match Hashtbl.find_opt cache key with
-  | Some c -> Ok c
-  | None ->
-      let* c = build () in
-      Hashtbl.replace cache key c;
-      Ok c
 
 let dense_vector arr = Tensor.of_dense (Dense.of_buffer [| Array.length arr |] arr) Format.dense_vector
 
@@ -48,8 +41,8 @@ let spmv ?(backend = `Closure) sr a x =
     let av = Tensor_var.make "A" ~order:2 ~format:fmt_a in
     let xv = Tensor_var.make "x" ~order:1 ~format:fmt_x in
     let key = cache_key "spmv" sr backend [ fmt_a; fmt_x ] in
-    let* kern =
-      compiled ~key (fun () ->
+    let* kern, _ =
+      Cache.find_or_build cache key (fun () ->
           let stmt =
             I.assign yv [ vi ] (I.sum vj (I.Mul (I.access av [ vi; vj ], I.access xv [ vj ])))
           in
@@ -69,8 +62,8 @@ let vadd ?(backend = `Closure) sr x y =
     let xv = Tensor_var.make "x" ~order:1 ~format:fmt_x in
     let yv = Tensor_var.make "w" ~order:1 ~format:fmt_y in
     let key = cache_key "vadd" sr backend [ fmt_x; fmt_y ] in
-    let* kern =
-      compiled ~key (fun () ->
+    let* kern, _ =
+      Cache.find_or_build cache key (fun () ->
           let stmt =
             I.assign zv [ vi ] (I.Add (I.access xv [ vi ], I.access yv [ vi ]))
           in
@@ -209,8 +202,9 @@ let triangle_count ?(backend = `Closure) a =
     let sr = Semiring.plus_times in
     (* Paths of length 2: C = A·A, a (+, ×) spgemm (workspaced by the
        autoscheduler). *)
-    let* kern_mm =
-      compiled ~key:(cache_key "tri_spgemm" sr backend [ fmt ]) (fun () ->
+    let* kern_mm, _ =
+      let key = cache_key "tri_spgemm" sr backend [ fmt ] in
+      Cache.find_or_build cache key (fun () ->
           let vk = Index_var.make "k" in
           let stmt =
             I.assign cv [ vi; vj ]
@@ -226,8 +220,9 @@ let triangle_count ?(backend = `Closure) a =
     let alpha = Tensor_var.make "alpha" ~order:0 ~format:(Format.of_levels []) in
     let mv = Tensor_var.make "M" ~order:2 ~format:fmt in
     let pv = Tensor_var.make "P" ~order:2 ~format:(Tensor.format c2) in
-    let* kern_in =
-      compiled ~key:(cache_key "tri_inner" sr backend [ fmt; Tensor.format c2 ]) (fun () ->
+    let* kern_in, _ =
+      let key = cache_key "tri_inner" sr backend [ fmt; Tensor.format c2 ] in
+      Cache.find_or_build cache key (fun () ->
           let stmt =
             I.assign alpha []
               (I.sum vi

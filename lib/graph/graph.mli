@@ -3,8 +3,8 @@
     Every workload iterates a compiled sparse kernel — SpMV under the
     appropriate semiring, or a (+, ×) spgemm — to a fixpoint in an
     OCaml driver. Kernels are compiled once per
-    (operation, semiring, format, backend) and cached, in the style of
-    {!Taco_ops.Ops}.
+    (operation, semiring, format, backend) and cached in {!cache}, in
+    the style of {!Taco_ops.Ops}.
 
     Graphs are adjacency matrices in any sparse or dense matrix format:
     entry (i, j) is the weight of the directed edge i → j. A stored
@@ -19,6 +19,11 @@ module Semiring = Taco_ir.Semiring
     [`Native] downgrades to closures when no C compiler is available
     (see {!Taco_exec.Compile.backend}). *)
 type backend = Taco_exec.Compile.backend
+
+(** The compiled-kernel cache behind every workload: 256 entries,
+    named ["graph"] (see {!Taco_support.Cache}). Domain-safe, so
+    workloads may run concurrently. *)
+val cache : Taco.compiled Taco_support.Cache.t
 
 (** {2 Semiring kernels} *)
 

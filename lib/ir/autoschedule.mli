@@ -64,11 +64,13 @@ type explain = {
     unless a candidate beats it by a decisive margin — so the chosen
     plan is never estimated slower than {!run}'s.
 
-    When [key] is given, the plan cache is consulted first and the
-    chosen plan is stored under it: a cached plan whose statement still
-    passes [lowerable] is returned without any search ([e_cache_hit]).
-    Build keys from (expression structure, stats bucket); see
-    {!Taco_stats.Stats.bucket}. *)
+    When [key] is given, the plan cache (a 256-entry
+    {!Taco_support.Cache} named ["plan"]) is consulted first, with
+    [lowerable] as its validity predicate: a cached plan whose
+    statement still passes [lowerable] is returned without any search
+    ([e_cache_hit]); one it rejects counts as a miss, and the plan
+    searched afresh replaces it. Build keys from (expression structure,
+    stats bucket); see {!Taco_stats.Stats.bucket}. *)
 val search :
   ?stats:(string * Taco_stats.Stats.t) list ->
   ?key:string ->
@@ -76,8 +78,8 @@ val search :
   Cin.stmt ->
   (plan * explain, string) result
 
-(** Global plan-cache counters (hits/misses/evictions/size). *)
-val cache_stats : unit -> Plan_cache.stats
+(** Global plan-cache counters. *)
+val cache_stats : unit -> Taco_support.Cache.stats
 
 (** Drop all cached plans and reset the counters (tests). *)
 val cache_clear : unit -> unit

@@ -1,5 +1,6 @@
 module Tensor = Taco_tensor.Tensor
 module Format = Taco_tensor.Format
+module Cache = Taco_support.Cache
 module Level = Taco_tensor.Level
 module I = Taco_ir.Index_notation
 module Cin = Taco_ir.Cin
@@ -26,17 +27,9 @@ let default_matrix_out a b =
   if has_sparse a || has_sparse b then Format.csr else Format.dense_matrix
 
 (* Compiled-kernel cache keyed by operation and formats. *)
-let cache : (string, Taco.compiled) Hashtbl.t = Hashtbl.create 16
+let cache : Taco.compiled Cache.t = Cache.create ~name:"ops" ~capacity:256
 
 let cache_key op fmts = op ^ "|" ^ String.concat "|" (List.map Format.to_string fmts)
-
-let compiled ~key build =
-  match Hashtbl.find_opt cache key with
-  | Some c -> Ok c
-  | None ->
-      let* c = build () in
-      Hashtbl.replace cache key c;
-      Ok c
 
 (* Build, auto-compile and run a binary matrix operation. *)
 let binary_matrix_op ~opname ~rhs ?out b c =
@@ -46,8 +39,8 @@ let binary_matrix_op ~opname ~rhs ?out b c =
   let bv = Tensor_var.make "B" ~order:2 ~format:fmt_b in
   let cv = Tensor_var.make "C" ~order:2 ~format:fmt_c in
   let key = cache_key opname [ out; fmt_b; fmt_c ] in
-  let* kern =
-    compiled ~key (fun () ->
+  let* kern, _ =
+    Cache.find_or_build cache key (fun () ->
         let stmt = I.assign av [ vi; vj ] (rhs bv cv) in
         let* sched = Schedule.of_index_notation stmt in
         let* c, _steps = dflat (Taco.auto_compile ~name:opname sched) in
@@ -86,8 +79,8 @@ let spmv b x =
     let bv = Tensor_var.make "B" ~order:2 ~format:fmt_b in
     let xv = Tensor_var.make "x" ~order:1 ~format:fmt_x in
     let key = cache_key "spmv" [ fmt_b; fmt_x ] in
-    let* kern =
-      compiled ~key (fun () ->
+    let* kern, _ =
+      Cache.find_or_build cache key (fun () ->
           let stmt =
             I.assign yv [ vi ] (I.sum vj (I.Mul (I.access bv [ vi; vj ], I.access xv [ vj ])))
           in
@@ -122,8 +115,8 @@ let inner a b =
       let av = Tensor_var.make "B" ~order ~format:(Tensor.format a) in
       let bv = Tensor_var.make "C" ~order ~format:(Tensor.format b) in
       let key = cache_key (Printf.sprintf "inner%d" order) [ Tensor.format a; Tensor.format b ] in
-      let* kern =
-        compiled ~key (fun () ->
+      let* kern, _ =
+        Cache.find_or_build cache key (fun () ->
             let rhs =
               List.fold_right (fun v e -> I.sum v e) vars
                 (I.Mul (I.access av vars, I.access bv vars))
@@ -151,8 +144,8 @@ let mttkrp x c d =
       let cv = Tensor_var.make "C" ~order:2 ~format:(Tensor.format c) in
       let dv = Tensor_var.make "D" ~order:2 ~format:(Tensor.format d) in
       let key = cache_key "mttkrp" [ Tensor.format x; Tensor.format c; Tensor.format d ] in
-      let* kern =
-        compiled ~key (fun () ->
+      let* kern, _ =
+        Cache.find_or_build cache key (fun () ->
             (* The §VII schedule: loop order i,k,l,j with X·C hoisted into
                a row workspace. *)
             let stmt =
@@ -194,8 +187,8 @@ let sddmm b c d =
     let key =
       cache_key "sddmm" [ Tensor.format b; Tensor.format c; Tensor.format d ]
     in
-    let* kern =
-      compiled ~key (fun () ->
+    let* kern, _ =
+      Cache.find_or_build cache key (fun () ->
           (* The reduction over k nests inside the sparse j loop; the
              scalar-temporary concretization (§VI) keeps the sparse
              result appendable. *)

@@ -4,8 +4,9 @@
     with the {!Taco.Autoschedule} policy (applying the paper's workspace
     transformation where needed), compiles, and runs — the way a
     downstream user consumes the compiler without writing schedules.
-    Compiled kernels are cached per (operation, operand formats), so
-    repeated calls with same-format tensors skip compilation. *)
+    Compiled kernels are cached per (operation, operand formats) in
+    {!cache}, so repeated calls with same-format tensors skip
+    compilation. *)
 
 module Tensor = Taco_tensor.Tensor
 module Format = Taco_tensor.Format
@@ -45,3 +46,7 @@ val sddmm : Tensor.t -> Tensor.t -> Tensor.t -> (Tensor.t, string) result
     and dropping explicit zeros. CSR and CSC transpose by one counting
     sort; other formats repack through a coordinate list. *)
 val transpose : Tensor.t -> Tensor.t
+
+(** The compiled-kernel cache behind every operation: 256 entries,
+    named ["ops"] (see {!Taco_support.Cache}). *)
+val cache : Taco.compiled Taco_support.Cache.t

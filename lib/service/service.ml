@@ -2,8 +2,9 @@
    fixed pool of worker domains, each running the whole pipeline (parse →
    concretize → schedule → lower → compile → execute) through the Taco
    facade. Compilation coalescing is not implemented here: it falls out
-   of the single-flight compiled-kernel cache in [Taco_exec.Compile],
-   which this service merely hammers from many domains. See service.mli
+   of the single-flight compiled-kernel cache in [Taco_exec.Compile]
+   (a [Taco_support.Cache]), which this service merely hammers from many
+   domains. See service.mli
    for the queueing/deadline/backpressure semantics. *)
 
 module Format = Taco_tensor.Format

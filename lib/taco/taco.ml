@@ -20,7 +20,7 @@ module Schedule = Taco_ir.Schedule
 module Autoschedule = Taco_ir.Autoschedule
 module Stats = Taco_stats.Stats
 module Cost = Taco_ir.Cost
-module Plan_cache = Taco_ir.Plan_cache
+module Plan_cache = Taco_support.Cache
 module Imp = Taco_lower.Imp
 module Merge_lattice = Taco_lower.Merge_lattice
 module Lower = Taco_lower.Lower

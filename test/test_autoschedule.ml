@@ -121,11 +121,50 @@ let test_cache_hit () =
     (Cin.to_string p1.Autoschedule.p_stmt)
     (Cin.to_string p2.Autoschedule.p_stmt);
   let cs = Autoschedule.cache_stats () in
-  Alcotest.(check int) "one hit counted" 1 cs.Plan_cache.hits;
-  Alcotest.(check bool) "cache holds the plan" true (cs.Plan_cache.size >= 1);
+  Alcotest.(check int) "one hit counted" 1 cs.Taco_support.Cache.hits;
+  Alcotest.(check bool) "cache holds the plan" true (cs.Taco_support.Cache.entries >= 1);
   Autoschedule.cache_clear ();
   let cs = Autoschedule.cache_stats () in
-  Alcotest.(check int) "clear resets size" 0 cs.Plan_cache.size
+  Alcotest.(check int) "clear resets size" 0 cs.Taco_support.Cache.entries
+
+(* A cached plan the caller's [lowerable] rejects is one miss, and the
+   plan searched afresh replaces it, so the next request hits. A dense
+   copy lowers in either loop order, so rejecting the first plan still
+   leaves the reordered one. *)
+let test_cache_rejected_replaced () =
+  let module Metrics = Taco_support.Metrics in
+  Autoschedule.cache_clear ();
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ();
+      Autoschedule.cache_clear ())
+  @@ fun () ->
+  let stmt () =
+    let out = Helpers.dense_mat_tv "A" and src = Helpers.dense_mat_tv "B" in
+    Schedule.stmt
+      (Helpers.get (Schedule.of_index_notation (I.assign out [ vi; vj ] (I.access src [ vi; vj ]))))
+  in
+  let key = "test-reject|" ^ Cin.to_string (stmt ()) in
+  let p1, _ = Helpers.get (Autoschedule.search ~key ~lowerable (stmt ())) in
+  let rejected = Cin.to_string p1.Autoschedule.p_stmt in
+  let strict s = if Cin.to_string s = rejected then Error "rejected" else lowerable s in
+  let p2, ex2 = Helpers.get (Autoschedule.search ~key ~lowerable:strict (stmt ())) in
+  Alcotest.(check bool) "rejected plan is not a hit" false ex2.Autoschedule.e_cache_hit;
+  Alcotest.(check bool) "a different plan was chosen" true
+    (Cin.to_string p2.Autoschedule.p_stmt <> rejected);
+  let cs = Autoschedule.cache_stats () in
+  Alcotest.(check int) "no hit counted" 0 cs.Taco_support.Cache.hits;
+  Alcotest.(check int) "two misses counted" 2 cs.Taco_support.Cache.misses;
+  let counter name =
+    List.assoc_opt (name, []) (Metrics.snapshot ()).Metrics.counters
+  in
+  Alcotest.(check (option int)) "no hit metric" None (counter "taco_plan_cache_hits_total");
+  Alcotest.(check (option int)) "two miss metrics" (Some 2)
+    (counter "taco_plan_cache_misses_total");
+  let _, ex3 = Helpers.get (Autoschedule.search ~key ~lowerable:strict (stmt ())) in
+  Alcotest.(check bool) "replacement plan hits" true ex3.Autoschedule.e_cache_hit
 
 (* --- cardinality estimates ------------------------------------------- *)
 
@@ -228,7 +267,11 @@ let () =
           Alcotest.test_case "chosen never costlier" `Quick test_chosen_never_costlier;
           Alcotest.test_case "parallel advisory" `Quick test_parallel_advisory;
         ] );
-      ("cache", [ Alcotest.test_case "hit on repeat key" `Quick test_cache_hit ]);
+      ( "cache",
+        [
+          Alcotest.test_case "hit on repeat key" `Quick test_cache_hit;
+          Alcotest.test_case "rejected plan replaced" `Quick test_cache_rejected_replaced;
+        ] );
       ( "estimates",
         [
           Alcotest.test_case "spgemm nnz within 4x" `Quick test_estimate_nnz_spgemm;

@@ -67,6 +67,38 @@ let test_cache_stress_results () =
   let results = List.concat_map Domain.join [ worker (); worker (); worker () ] in
   List.iter (fun d -> check_dense "concurrent runs agree" expected d) results
 
+(* --- the Graph and Ops kernel caches from two domains --------------- *)
+
+(* Both domains run PageRank and a matmul on one input at once: the
+   shared caches build each kernel once and the results match a
+   sequential run bit for bit. *)
+let test_graph_ops_two_domains () =
+  let module Cache = Taco_support.Cache in
+  let module Graph = Taco_graph.Graph in
+  let module Ops = Taco_ops.Ops in
+  Cache.clear Graph.cache;
+  Cache.clear Ops.cache;
+  let adj = random_tensor 91 [| 60; 60 |] 0.1 F.csr in
+  let work () =
+    let ranks, iters = get (Graph.pagerank adj) in
+    let prod = get (Ops.matmul adj adj) in
+    (Array.map Int64.bits_of_float ranks, iters, Array.map Int64.bits_of_float (T.vals prod))
+  in
+  let d1 = Domain.spawn work and d2 = Domain.spawn work in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  (* PageRank uses one graph kernel (SpMV), matmul one ops kernel. *)
+  let built_once what c =
+    let s = Cache.stats c in
+    Alcotest.(check (pair int int)) (what ^ ": one key, one miss") (1, 1)
+      (s.Cache.entries, s.Cache.misses)
+  in
+  built_once "graph" Graph.cache;
+  built_once "ops" Ops.cache;
+  let seq = work () in
+  Alcotest.(check bool) "domain 1 matches sequential" true (r1 = seq);
+  Alcotest.(check bool) "domain 2 matches sequential" true (r2 = seq);
+  built_once "graph after the sequential run" Graph.cache
+
 (* --- tracing from two domains --------------------------------------- *)
 
 let test_trace_two_domains () =
@@ -209,6 +241,8 @@ let () =
           Alcotest.test_case "concurrent compile+run agree" `Quick
             test_cache_stress_results;
         ] );
+      ( "kernel-cache",
+        [ Alcotest.test_case "Graph and Ops from two domains" `Quick test_graph_ops_two_domains ] );
       ("trace", [ Alcotest.test_case "two-domain tracing" `Quick test_trace_two_domains ]);
       ( "parallel",
         [

@@ -1,6 +1,7 @@
 module Dyn = Taco_support.Dyn_array
 module Prng = Taco_support.Prng
 module Util = Taco_support.Util
+module Cache = Taco_support.Cache
 
 let test_dyn_int_push () =
   let t = Dyn.Int.create () in
@@ -134,6 +135,117 @@ let prop_sample_distinct =
       && List.length (List.sort_uniq compare (Array.to_list s)) = k
       && Array.for_all (fun x -> x >= 0 && x < n) s)
 
+(* --- Cache ------------------------------------------------------------ *)
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o ->
+      Fmt.string ppf (match o with Cache.Hit -> "hit" | Coalesced -> "coalesced" | Miss -> "miss"))
+    ( = )
+
+let lookup ?valid c key v =
+  Result.get_ok (Cache.find_or_build c ?valid key (fun () -> Ok v))
+
+let check_stats c ~hits ~misses ~entries ~evictions ~coalesced =
+  let s = Cache.stats c in
+  Alcotest.(check (list int))
+    "hits, misses, entries, evictions, coalesced"
+    [ hits; misses; entries; evictions; coalesced ]
+    [ s.Cache.hits; s.Cache.misses; s.Cache.entries; s.Cache.evictions; s.Cache.coalesced ]
+
+let test_cache_fifo () =
+  let c = Cache.create ~name:"test_fifo" ~capacity:2 in
+  ignore (lookup c "a" 1);
+  ignore (lookup c "b" 2);
+  ignore (lookup c "c" 3);
+  check_stats c ~hits:0 ~misses:3 ~entries:2 ~evictions:1 ~coalesced:0;
+  (* "a" went first; rebuilding it evicts "b", the next oldest. *)
+  Alcotest.(check (pair int outcome)) "oldest was evicted" (10, Cache.Miss) (lookup c "a" 10);
+  Alcotest.(check (pair int outcome)) "newest survives" (3, Cache.Hit) (lookup c "c" 30);
+  Alcotest.(check (pair int outcome)) "next oldest evicted" (20, Cache.Miss) (lookup c "b" 20);
+  check_stats c ~hits:1 ~misses:5 ~entries:2 ~evictions:3 ~coalesced:0;
+  Alcotest.check_raises "capacity must be positive"
+    (Invalid_argument "Cache.create: capacity must be positive") (fun () ->
+      ignore (Cache.create ~name:"test_zero" ~capacity:0 : int Cache.t))
+
+(* All domains meet at a spin barrier, then ask for one key whose build
+   sleeps long enough for the rest to queue behind it. *)
+let test_cache_single_flight () =
+  let n = 4 in
+  let c = Cache.create ~name:"test_flight" ~capacity:4 in
+  let builds = Atomic.make 0 and ready = Atomic.make 0 in
+  let build () =
+    Atomic.incr builds;
+    Unix.sleepf 0.2;
+    Ok 42
+  in
+  let domains =
+    List.init n (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Domain.cpu_relax ()
+            done;
+            Result.get_ok (Cache.find_or_build c "k" build)))
+  in
+  let results = List.map Domain.join domains in
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  Alcotest.(check (list int)) "every domain got the value" (List.init n (fun _ -> 42))
+    (List.map fst results);
+  Alcotest.(check int) "one miss" 1 (List.length (List.filter (fun (_, o) -> o = Cache.Miss) results));
+  check_stats c ~hits:(n - 1) ~misses:1 ~entries:1 ~evictions:0 ~coalesced:(n - 1)
+
+let test_cache_failed_build () =
+  let c = Cache.create ~name:"test_fail" ~capacity:4 in
+  Alcotest.(check (result (pair int outcome) string)) "error passes through" (Error "no")
+    (Cache.find_or_build c "k" (fun () -> Error "no"));
+  Alcotest.check_raises "exception propagates" Exit (fun () ->
+      ignore (Cache.find_or_build c "k" (fun () -> raise Exit)));
+  check_stats c ~hits:0 ~misses:2 ~entries:0 ~evictions:0 ~coalesced:0;
+  (* A waiter queued behind a failing build is woken and builds itself. *)
+  let fail_with f key =
+    let started = Atomic.make false in
+    let d =
+      Domain.spawn (fun () ->
+          try
+            Cache.find_or_build c key (fun () ->
+                Atomic.set started true;
+                Unix.sleepf 0.1;
+                f ())
+          with Exit -> Error "raised")
+    in
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    let waiter = Cache.find_or_build c key (fun () -> Ok 7) in
+    Alcotest.(check (result (pair int outcome) string)) "waiter builds" (Ok (7, Cache.Miss)) waiter;
+    Domain.join d
+  in
+  Alcotest.(check (result (pair int outcome) string)) "failing builder" (Error "no")
+    (fail_with (fun () -> Error "no") "e");
+  Alcotest.(check (result (pair int outcome) string)) "raising builder" (Error "raised")
+    (fail_with (fun () -> raise Exit) "x");
+  check_stats c ~hits:0 ~misses:6 ~entries:2 ~evictions:0 ~coalesced:0
+
+let test_cache_validity () =
+  let c = Cache.create ~name:"test_valid" ~capacity:4 in
+  ignore (lookup c "k" 1);
+  let valid v = v >= 2 in
+  Alcotest.(check (pair int outcome)) "invalid hit rebuilds" (2, Cache.Miss) (lookup ~valid c "k" 2);
+  check_stats c ~hits:0 ~misses:2 ~entries:1 ~evictions:0 ~coalesced:0;
+  Alcotest.(check (pair int outcome)) "replacement hits" (2, Cache.Hit) (lookup ~valid c "k" 3);
+  Alcotest.(check (pair int outcome)) "for every caller" (2, Cache.Hit) (lookup c "k" 4)
+
+let test_cache_clear () =
+  let c = Cache.create ~name:"test_clear" ~capacity:1 in
+  ignore (lookup c "a" 1);
+  ignore (lookup c "a" 1);
+  ignore (lookup c "b" 2);
+  check_stats c ~hits:1 ~misses:2 ~entries:1 ~evictions:1 ~coalesced:0;
+  Cache.clear c;
+  check_stats c ~hits:0 ~misses:0 ~entries:0 ~evictions:0 ~coalesced:0;
+  Alcotest.(check (pair int outcome)) "cleared entry rebuilds" (3, Cache.Miss) (lookup c "b" 3)
+
 let () =
   Alcotest.run "support"
     [
@@ -163,5 +275,13 @@ let () =
           Alcotest.test_case "median" `Quick test_median;
           Alcotest.test_case "dedup and subsets" `Quick test_dedup_subsets;
           prop_binary_search_agrees;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "FIFO eviction at capacity 2" `Quick test_cache_fifo;
+          Alcotest.test_case "racing domains build once" `Quick test_cache_single_flight;
+          Alcotest.test_case "failed build caches nothing" `Quick test_cache_failed_build;
+          Alcotest.test_case "invalid hit is replaced" `Quick test_cache_validity;
+          Alcotest.test_case "clear resets counters" `Quick test_cache_clear;
         ] );
     ]

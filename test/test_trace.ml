@@ -8,6 +8,7 @@ module Imp = Taco_lower.Imp
 module Opt = Taco_lower.Opt
 module Compile = Taco_exec.Compile
 module Trace = Taco_support.Trace
+module Cache = Taco_support.Cache
 
 let v n = Imp.Var n
 
@@ -61,31 +62,32 @@ let test_cache_clear_resets_accounting () =
   let s = Compile.cache_stats () in
   Alcotest.(check int) "recompile after clear misses again" 1 s.Compile.misses
 
+(* Compile's own cache has a fixed 512-entry capacity, so eviction is
+   exercised on a capacity-2 instance of the same cache module, filled
+   with uncached compiles. *)
 let test_cache_eviction_fifo () =
-  Fun.protect
-    ~finally:(fun () ->
-      Compile.set_cache_capacity 512;
-      Compile.cache_clear ())
-    (fun () ->
-      Compile.cache_clear ();
-      Compile.set_cache_capacity 2;
-      let k1 = foldable "trace_evict_1" in
-      let k2 = foldable "trace_evict_2" in
-      let k3 = foldable "trace_evict_3" in
-      let _ = Compile.compile k1 in
-      let _ = Compile.compile k2 in
-      let _ = Compile.compile k3 in
-      let s = Compile.cache_stats () in
-      Alcotest.(check int) "capacity bounds entries" 2 s.Compile.entries;
-      Alcotest.(check int) "oldest entry evicted" 1 s.Compile.evictions;
-      (* k1 was inserted first, so it was the FIFO victim: recompiling it
-         misses, while k3 (newest) still hits. *)
-      let _ = Compile.compile k3 in
-      let s = Compile.cache_stats () in
-      Alcotest.(check int) "newest entry survives" 1 s.Compile.hits;
-      let _ = Compile.compile k1 in
-      let s = Compile.cache_stats () in
-      Alcotest.(check int) "evicted entry misses" 4 s.Compile.misses)
+  let cache = Cache.create ~name:"trace_evict" ~capacity:2 in
+  let compile k =
+    Cache.find_or_build cache k.Imp.k_name (fun () -> Ok (Compile.compile ~cache:false k))
+    |> Result.get_ok |> fst
+  in
+  let k1 = foldable "trace_evict_1" in
+  let k2 = foldable "trace_evict_2" in
+  let k3 = foldable "trace_evict_3" in
+  let _ = compile k1 in
+  let _ = compile k2 in
+  let _ = compile k3 in
+  let s = Cache.stats cache in
+  Alcotest.(check int) "capacity bounds entries" 2 s.Cache.entries;
+  Alcotest.(check int) "oldest entry evicted" 1 s.Cache.evictions;
+  (* k1 was inserted first, so it was the FIFO victim: recompiling it
+     misses, while k3 (newest) still hits. *)
+  let _ = compile k3 in
+  let s = Cache.stats cache in
+  Alcotest.(check int) "newest entry survives" 1 s.Cache.hits;
+  let _ = compile k1 in
+  let s = Cache.stats cache in
+  Alcotest.(check int) "evicted entry misses" 4 s.Cache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Trace buffer                                                        *)
