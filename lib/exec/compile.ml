@@ -228,6 +228,36 @@ let find_slot ctx v =
   | None -> terror "unknown variable %s" v
 
 (* ------------------------------------------------------------------ *)
+(* Checked mode                                                        *)
+(*                                                                     *)
+(* Bounds checking decorates operands, not statements: [index] (in the *)
+(* expression compiler below) turns an access's index into a checked   *)
+(* operand and [span] does the same for the extent of a bulk access.   *)
+(* They are the only readers of [ctx.checked]; every load, store and   *)
+(* fill is compiled once and consumes whichever operand they return.   *)
+(* ------------------------------------------------------------------ *)
+
+(* The current length of the array held in slot [s]. *)
+let length_of s =
+  let i = s.s_index in
+  match s.s_dtype with
+  | Imp.Int -> fun env -> Array.length (Array.unsafe_get env.iarr i)
+  | Imp.Float -> fun env -> Array.length (Array.unsafe_get env.farr i)
+  | Imp.Bool -> fun env -> Array.length (Array.unsafe_get env.barr i)
+
+(* The upper end [hi] of a bulk access to [var] over [lo, hi) (lo
+   defaults to 0). Unchecked it is [hi] itself; checked, it raises the
+   bounds diagnostic, naming [hi], unless 0 <= lo <= hi <= length. *)
+let span ctx ~var ~len ?(lo = fun _ -> 0) hi =
+  if ctx.checked then fun env ->
+    let h = hi env in
+    let l = lo env in
+    let n = len env in
+    if l < 0 || h < l || h > n then oob ~ctx ~var ~index:h ~len:n;
+    h
+  else hi
+
+(* ------------------------------------------------------------------ *)
 (* Typing                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -293,25 +323,14 @@ let rec cint ctx (e : Imp.expr) : env -> int =
       let i = s.s_index in
       fun env -> Array.unsafe_get env.ints i
   | Imp.Int_lit n -> fun _ -> n
-  | Imp.Load (a, idx) ->
+  | Imp.Load (a, idx) -> (
       let s = find_slot ctx a in
       if s.s_dtype <> Imp.Int || not s.s_array then terror "expected int array %s" a;
       let i = s.s_index in
-      if ctx.checked then
-        let cidx = cint ctx idx in
-        fun env ->
-          let arr = Array.unsafe_get env.iarr i in
-          let k = cidx env in
-          if k < 0 || k >= Array.length arr then
-            oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-          Array.unsafe_get arr k
-      else (
-        match ishape ctx idx with
-        | ISlot j ->
-            fun env ->
-              (Array.unsafe_get env.iarr i).(Array.unsafe_get env.ints j)
-        | ILit n -> fun env -> (Array.unsafe_get env.iarr i).(n)
-        | IGen g -> fun env -> (Array.unsafe_get env.iarr i).(g env))
+      match index ctx ~var:a ~len:(length_of s) idx with
+      | ISlot j -> fun env -> (Array.unsafe_get env.iarr i).(Array.unsafe_get env.ints j)
+      | ILit n -> fun env -> (Array.unsafe_get env.iarr i).(n)
+      | IGen g -> fun env -> (Array.unsafe_get env.iarr i).(g env))
   | Imp.Binop (op, a, b) -> (
       (* Arithmetic keeps the uniform one-closure-per-node scheme:
          canonicalizing repeated index arithmetic into scalar slots is
@@ -343,6 +362,22 @@ and ishape ctx (e : Imp.expr) : ishape =
   | Imp.Int_lit n -> ILit n
   | _ -> IGen (cint ctx e)
 
+(* The index operand of an access to array [var], whose current length
+   [len] reads. Unchecked, the operand keeps its fast-path shape.
+   Checked, it is a general operand that raises the bounds diagnostic
+   before the access — and, since stores evaluate their index first,
+   before a stored value is evaluated. *)
+and index ctx ~var ~len idx : ishape =
+  if ctx.checked then
+    let cidx = cint ctx idx in
+    IGen
+      (fun env ->
+        let k = cidx env in
+        let n = len env in
+        if k < 0 || k >= n then oob ~ctx ~var ~index:k ~len:n;
+        k)
+  else ishape ctx idx
+
 and iget = function
   | ISlot i -> fun env -> Array.unsafe_get env.ints i
   | ILit n -> fun _ -> n
@@ -356,25 +391,14 @@ and cfloat ctx (e : Imp.expr) : env -> float =
       let i = s.s_index in
       fun env -> Array.unsafe_get env.floats i
   | Imp.Float_lit v -> fun _ -> v
-  | Imp.Load (a, idx) ->
+  | Imp.Load (a, idx) -> (
       let s = find_slot ctx a in
       if s.s_dtype <> Imp.Float || not s.s_array then terror "expected float array %s" a;
       let i = s.s_index in
-      if ctx.checked then
-        let cidx = cint ctx idx in
-        fun env ->
-          let arr = Array.unsafe_get env.farr i in
-          let k = cidx env in
-          if k < 0 || k >= Array.length arr then
-            oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-          Array.unsafe_get arr k
-      else (
-        match ishape ctx idx with
-        | ISlot j ->
-            fun env ->
-              (Array.unsafe_get env.farr i).(Array.unsafe_get env.ints j)
-        | ILit n -> fun env -> (Array.unsafe_get env.farr i).(n)
-        | IGen g -> fun env -> (Array.unsafe_get env.farr i).(g env))
+      match index ctx ~var:a ~len:(length_of s) idx with
+      | ISlot j -> fun env -> (Array.unsafe_get env.farr i).(Array.unsafe_get env.ints j)
+      | ILit n -> fun env -> (Array.unsafe_get env.farr i).(n)
+      | IGen g -> fun env -> (Array.unsafe_get env.farr i).(g env))
   | Imp.Binop (op, a, b) -> (
       let sa = fshape ctx a and sb = fshape ctx b in
       match (op, sa, sb) with
@@ -443,25 +467,14 @@ and cbool ctx (e : Imp.expr) : env -> bool =
       let i = s.s_index in
       fun env -> Array.unsafe_get env.bools i
   | Imp.Bool_lit b -> fun _ -> b
-  | Imp.Load (a, idx) ->
+  | Imp.Load (a, idx) -> (
       let s = find_slot ctx a in
       if s.s_dtype <> Imp.Bool || not s.s_array then terror "expected bool array %s" a;
       let i = s.s_index in
-      if ctx.checked then
-        let cidx = cint ctx idx in
-        fun env ->
-          let arr = Array.unsafe_get env.barr i in
-          let k = cidx env in
-          if k < 0 || k >= Array.length arr then
-            oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-          Array.unsafe_get arr k
-      else (
-        match ishape ctx idx with
-        | ISlot j ->
-            fun env ->
-              (Array.unsafe_get env.barr i).(Array.unsafe_get env.ints j)
-        | ILit n -> fun env -> (Array.unsafe_get env.barr i).(n)
-        | IGen g -> fun env -> (Array.unsafe_get env.barr i).(g env))
+      match index ctx ~var:a ~len:(length_of s) idx with
+      | ISlot j -> fun env -> (Array.unsafe_get env.barr i).(Array.unsafe_get env.ints j)
+      | ILit n -> fun env -> (Array.unsafe_get env.barr i).(n)
+      | IGen g -> fun env -> (Array.unsafe_get env.barr i).(g env))
   | Imp.Binop ((Imp.And | Imp.Or) as op, a, b) -> (
       let ca = cbool ctx a and cb = cbool ctx b in
       match op with
@@ -609,56 +622,118 @@ let scan_mask_into (arr : int array) lo hi (mask : bool array) extent =
     incr x
   done
 
-(* [cstmt] adds the profiling wrapper (when the context asks for it)
-   around the uninstrumented closure from [cstmt_base]; loop iteration
-   counts live inside the For/While arms of [cstmt_base] where the trip
-   counts are at hand. With [prof = None] the wrapper is the identity
-   and the closures are bit-for-bit the unprofiled ones. *)
+(* The loop of a For, of a sequential ParallelFor and of each parallel
+   chunk: runs [body] once per x in [lo, hi) with int slot [i] holding
+   x. A [guarded] loop under a deadline polls the clock every
+   [watchdog_mask + 1] iterations; any other runs the plain loop. The
+   body may read the loop variable but never writes it, so the native
+   for counter owns the induction. *)
+let range_loop ~kname ~guarded i body env lo hi =
+  let ints = env.ints in
+  let deadline = env.deadline_ns in
+  if guarded && deadline <> Int64.max_int then
+    for x = lo to hi - 1 do
+      if x land watchdog_mask = 0 && Trace.now_ns () > deadline then cancelled ~kname;
+      Array.unsafe_set ints i x;
+      body env
+    done
+  else
+    for x = lo to hi - 1 do
+      Array.unsafe_set ints i x;
+      body env
+    done
+
+(* The profiling decoration of statement [s], whose uninstrumented
+   closure is [f]: bump the work counters, then run [f]. Operands it
+   needs (extents, loop bounds, sort ranges) are pure, so re-evaluating
+   them here cannot diverge from [f]'s own reads. Loop iterations are
+   counted on entry as [hi - lo]; While counts through its condition
+   (see [cstmt]). *)
+let profiled ctx st (s : Imp.stmt) f =
+  match s with
+  | Imp.Decl _ | Imp.Assign _ | Imp.Store _ | Imp.Store_add _ | Imp.Store_reduce _ ->
+      fun env ->
+        st.p_scalar_ops <- st.p_scalar_ops + 1;
+        f env
+  | Imp.For (_, lo, hi, _) | Imp.ParallelFor (_, lo, hi, _, _) ->
+      let clo = cint ctx lo and chi = cint ctx hi in
+      fun env ->
+        let hi = chi env in
+        let lo = clo env in
+        if hi > lo then st.p_iters <- st.p_iters + (hi - lo);
+        f env
+  | Imp.Alloc (_, _, n) ->
+      let cn = cint ctx n in
+      fun env ->
+        let m = max 1 (cn env) in
+        st.p_allocs <- st.p_allocs + 1;
+        st.p_alloc_elems <- st.p_alloc_elems + m;
+        st.p_zero_elems <- st.p_zero_elems + m;
+        f env
+  | Imp.Memset (_, n) | Imp.Fill (_, n, _) ->
+      let cn = cint ctx n in
+      fun env ->
+        st.p_zero_elems <- st.p_zero_elems + max 0 (cn env);
+        f env
+  | Imp.Realloc _ ->
+      fun env ->
+        st.p_reallocs <- st.p_reallocs + 1;
+        f env
+  | Imp.Sort (_, _, _, None) ->
+      fun env ->
+        st.p_sorts <- st.p_sorts + 1;
+        f env
+  | Imp.Sort (_, lo, hi, Some { Imp.extent; _ }) ->
+      (* Re-evaluates the bounds to tell which drain runs. *)
+      let clo = cint ctx lo and chi = cint ctx hi and cext = cint ctx extent in
+      fun env ->
+        if Imp.mask_scan_pays ~count:(chi env - clo env) ~extent:(cext env) then
+          st.p_mask_scans <- st.p_mask_scans + 1
+        else st.p_sorts <- st.p_sorts + 1;
+        f env
+  | Imp.While _ | Imp.If _ | Imp.Comment _ -> f
+
+(* The one compilation path of a statement. With [prof = None] it is
+   [cstmt_base] itself, so unprofiled closures are exactly the
+   uninstrumented ones. Profiling decorates them ([profiled]); a While
+   is rebuilt around a condition that counts each iteration it
+   admits. *)
 let rec cstmt ctx (s : Imp.stmt) : env -> unit =
-  let f = cstmt_base ctx s in
-  match ctx.prof with
-  | None -> f
-  | Some st -> (
-      match s with
-      | Imp.Decl _ | Imp.Assign _ | Imp.Store _ | Imp.Store_add _ | Imp.Store_reduce _ ->
-          fun env ->
-            st.p_scalar_ops <- st.p_scalar_ops + 1;
-            f env
-      | Imp.Alloc (_, _, n) ->
-          (* The extent expression is pure; re-evaluating it for the
-             counters cannot diverge from the allocation's own read. *)
-          let cn = cint ctx n in
-          fun env ->
-            let m = max 1 (cn env) in
-            st.p_allocs <- st.p_allocs + 1;
-            st.p_alloc_elems <- st.p_alloc_elems + m;
-            st.p_zero_elems <- st.p_zero_elems + m;
-            f env
-      | Imp.Memset (_, n) | Imp.Fill (_, n, _) ->
-          let cn = cint ctx n in
-          fun env ->
-            st.p_zero_elems <- st.p_zero_elems + max 0 (cn env);
-            f env
-      | Imp.Realloc _ ->
-          fun env ->
-            st.p_reallocs <- st.p_reallocs + 1;
-            f env
-      | Imp.Sort (_, lo, hi, m) -> (
-          (* Re-evaluates the pure bounds to tell which drain runs. *)
-          let clo = cint ctx lo and chi = cint ctx hi in
-          match m with
-          | None ->
-              fun env ->
-                st.p_sorts <- st.p_sorts + 1;
-                f env
-          | Some { Imp.extent; _ } ->
-              let cext = cint ctx extent in
-              fun env ->
-                if Imp.mask_scan_pays ~count:(chi env - clo env) ~extent:(cext env) then
-                  st.p_mask_scans <- st.p_mask_scans + 1
-                else st.p_sorts <- st.p_sorts + 1;
-                f env)
-      | Imp.For _ | Imp.ParallelFor _ | Imp.While _ | Imp.If _ | Imp.Comment _ -> f)
+  match (ctx.prof, s) with
+  | None, _ -> cstmt_base ctx s
+  | Some st, Imp.While (c, body) ->
+      let cc = cbool ctx c in
+      cwhile ctx
+        (fun env ->
+          let go = cc env in
+          if go then st.p_iters <- st.p_iters + 1;
+          go)
+        body
+  | Some st, _ -> profiled ctx st s (cstmt_base ctx s)
+
+and cblock ctx body = seq (Array.of_list (List.map (cstmt ctx) body))
+
+(* A While loop over the compiled condition [cc]. Like [range_loop],
+   an outermost loop under a deadline polls the clock; it counts its
+   own iterations to do so. *)
+and cwhile ctx cc body =
+  let cbody = cblock { ctx with depth = ctx.depth + 1 } body in
+  let kname = ctx.kname in
+  let guarded = ctx.depth = 0 in
+  fun env ->
+    let deadline = env.deadline_ns in
+    if guarded && deadline <> Int64.max_int then begin
+      let n = ref 0 in
+      while cc env do
+        incr n;
+        if !n land watchdog_mask = 0 && Trace.now_ns () > deadline then cancelled ~kname;
+        cbody env
+      done
+    end
+    else
+      while cc env do
+        cbody env
+      done
 
 and cstmt_base ctx (s : Imp.stmt) : env -> unit =
   match s with
@@ -678,116 +753,75 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
   | Imp.Store (a, idx, v) -> (
       let s = find_slot ctx a in
       let i = s.s_index in
-      let guard env arr k =
-        if k < 0 || k >= Array.length arr then
-          oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-        ignore env
-      in
       match s.s_dtype with
       | Imp.Float -> (
           let cv = cfloat ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.farr i in
-              let k = cidx env in
-              guard env arr k;
-              Array.unsafe_set arr k (cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  (Array.unsafe_get env.farr i).(Array.unsafe_get env.ints j) <- cv env
-            | ILit n -> fun env -> (Array.unsafe_get env.farr i).(n) <- cv env
-            | IGen g -> fun env -> (Array.unsafe_get env.farr i).(g env) <- cv env)
+          match index ctx ~var:a ~len:(length_of s) idx with
+          | ISlot j ->
+              fun env -> (Array.unsafe_get env.farr i).(Array.unsafe_get env.ints j) <- cv env
+          | ILit n -> fun env -> (Array.unsafe_get env.farr i).(n) <- cv env
+          | IGen g ->
+              fun env ->
+                let k = g env in
+                (Array.unsafe_get env.farr i).(k) <- cv env)
       | Imp.Int -> (
           let cv = cint ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.iarr i in
-              let k = cidx env in
-              guard env arr k;
-              Array.unsafe_set arr k (cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  (Array.unsafe_get env.iarr i).(Array.unsafe_get env.ints j) <- cv env
-            | ILit n -> fun env -> (Array.unsafe_get env.iarr i).(n) <- cv env
-            | IGen g -> fun env -> (Array.unsafe_get env.iarr i).(g env) <- cv env)
+          match index ctx ~var:a ~len:(length_of s) idx with
+          | ISlot j ->
+              fun env -> (Array.unsafe_get env.iarr i).(Array.unsafe_get env.ints j) <- cv env
+          | ILit n -> fun env -> (Array.unsafe_get env.iarr i).(n) <- cv env
+          | IGen g ->
+              fun env ->
+                let k = g env in
+                (Array.unsafe_get env.iarr i).(k) <- cv env)
       | Imp.Bool -> (
           let cv = cbool ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.barr i in
-              let k = cidx env in
-              guard env arr k;
-              Array.unsafe_set arr k (cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  (Array.unsafe_get env.barr i).(Array.unsafe_get env.ints j) <- cv env
-            | ILit n -> fun env -> (Array.unsafe_get env.barr i).(n) <- cv env
-            | IGen g -> fun env -> (Array.unsafe_get env.barr i).(g env) <- cv env))
+          match index ctx ~var:a ~len:(length_of s) idx with
+          | ISlot j ->
+              fun env -> (Array.unsafe_get env.barr i).(Array.unsafe_get env.ints j) <- cv env
+          | ILit n -> fun env -> (Array.unsafe_get env.barr i).(n) <- cv env
+          | IGen g ->
+              fun env ->
+                let k = g env in
+                (Array.unsafe_get env.barr i).(k) <- cv env))
   | Imp.Store_add (a, idx, v) -> (
       let s = find_slot ctx a in
       let i = s.s_index in
       match s.s_dtype with
       | Imp.Float -> (
           let cv = cfloat ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.farr i in
-              let k = cidx env in
-              if k < 0 || k >= Array.length arr then
-                oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-              Array.unsafe_set arr k (Array.unsafe_get arr k +. cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = Array.unsafe_get env.ints j in
-                  arr.(k) <- arr.(k) +. cv env
-            | ILit n ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  arr.(n) <- arr.(n) +. cv env
-            | IGen g ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = g env in
-                  arr.(k) <- arr.(k) +. cv env)
+          match index ctx ~var:a ~len:(length_of s) idx with
+          | ISlot j ->
+              fun env ->
+                let arr = Array.unsafe_get env.farr i in
+                let k = Array.unsafe_get env.ints j in
+                arr.(k) <- arr.(k) +. cv env
+          | ILit n ->
+              fun env ->
+                let arr = Array.unsafe_get env.farr i in
+                arr.(n) <- arr.(n) +. cv env
+          | IGen g ->
+              fun env ->
+                let arr = Array.unsafe_get env.farr i in
+                let k = g env in
+                arr.(k) <- arr.(k) +. cv env)
       | Imp.Int -> (
           let cv = cint ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.iarr i in
-              let k = cidx env in
-              if k < 0 || k >= Array.length arr then
-                oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-              Array.unsafe_set arr k (Array.unsafe_get arr k + cv env)
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  let arr = Array.unsafe_get env.iarr i in
-                  let k = Array.unsafe_get env.ints j in
-                  arr.(k) <- arr.(k) + cv env
-            | ILit n ->
-                fun env ->
-                  let arr = Array.unsafe_get env.iarr i in
-                  arr.(n) <- arr.(n) + cv env
-            | IGen g ->
-                fun env ->
-                  let arr = Array.unsafe_get env.iarr i in
-                  let k = g env in
-                  arr.(k) <- arr.(k) + cv env)
+          match index ctx ~var:a ~len:(length_of s) idx with
+          | ISlot j ->
+              fun env ->
+                let arr = Array.unsafe_get env.iarr i in
+                let k = Array.unsafe_get env.ints j in
+                arr.(k) <- arr.(k) + cv env
+          | ILit n ->
+              fun env ->
+                let arr = Array.unsafe_get env.iarr i in
+                arr.(n) <- arr.(n) + cv env
+          | IGen g ->
+              fun env ->
+                let arr = Array.unsafe_get env.iarr i in
+                let k = g env in
+                arr.(k) <- arr.(k) + cv env)
       | Imp.Bool -> terror "+= on bool array %s" a)
   | Imp.Store_reduce (r, a, idx, v) -> (
       let s = find_slot ctx a in
@@ -801,30 +835,21 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
       match s.s_dtype with
       | Imp.Float -> (
           let cv = cfloat ctx v in
-          if ctx.checked then
-            let cidx = cint ctx idx in
-            fun env ->
-              let arr = Array.unsafe_get env.farr i in
-              let k = cidx env in
-              if k < 0 || k >= Array.length arr then
-                oob ~ctx ~var:a ~index:k ~len:(Array.length arr);
-              Array.unsafe_set arr k (combine (Array.unsafe_get arr k) (cv env))
-          else
-            match ishape ctx idx with
-            | ISlot j ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = Array.unsafe_get env.ints j in
-                  arr.(k) <- combine arr.(k) (cv env)
-            | ILit n ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  arr.(n) <- combine arr.(n) (cv env)
-            | IGen g ->
-                fun env ->
-                  let arr = Array.unsafe_get env.farr i in
-                  let k = g env in
-                  arr.(k) <- combine arr.(k) (cv env))
+          match index ctx ~var:a ~len:(length_of s) idx with
+          | ISlot j ->
+              fun env ->
+                let arr = Array.unsafe_get env.farr i in
+                let k = Array.unsafe_get env.ints j in
+                arr.(k) <- combine arr.(k) (cv env)
+          | ILit n ->
+              fun env ->
+                let arr = Array.unsafe_get env.farr i in
+                arr.(n) <- combine arr.(n) (cv env)
+          | IGen g ->
+              fun env ->
+                let arr = Array.unsafe_get env.farr i in
+                let k = g env in
+                arr.(k) <- combine arr.(k) (cv env))
       | Imp.Int | Imp.Bool -> terror "reduce-store on non-float array %s" a)
   | Imp.Alloc (t, v, n) -> (
       let i = (find_slot ctx v).s_index in
@@ -872,98 +897,36 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
   | Imp.Memset (v, n) -> (
       let s = find_slot ctx v in
       let i = s.s_index in
-      let cn = cint ctx n in
-      let checked_n env len =
-        let n = cn env in
-        if n < 0 || n > len then oob ~ctx ~var:v ~index:n ~len;
-        n
-      in
+      let cn = span ctx ~var:v ~len:(length_of s) (cint ctx n) in
       match s.s_dtype with
-      | Imp.Float ->
-          if ctx.checked then
-            fun env ->
-              let arr = env.farr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) 0.
-          else fun env -> Array.fill env.farr.(i) 0 (cn env) 0.
-      | Imp.Int ->
-          if ctx.checked then
-            fun env ->
-              let arr = env.iarr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) 0
-          else fun env -> Array.fill env.iarr.(i) 0 (cn env) 0
-      | Imp.Bool ->
-          if ctx.checked then
-            fun env ->
-              let arr = env.barr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) false
-          else fun env -> Array.fill env.barr.(i) 0 (cn env) false)
+      | Imp.Float -> fun env -> Array.fill env.farr.(i) 0 (cn env) 0.
+      | Imp.Int -> fun env -> Array.fill env.iarr.(i) 0 (cn env) 0
+      | Imp.Bool -> fun env -> Array.fill env.barr.(i) 0 (cn env) false)
   | Imp.Fill (v, n, x) -> (
       let s = find_slot ctx v in
       let i = s.s_index in
-      let cn = cint ctx n in
-      let checked_n env len =
-        let n = cn env in
-        if n < 0 || n > len then oob ~ctx ~var:v ~index:n ~len;
-        n
-      in
+      let cn = span ctx ~var:v ~len:(length_of s) (cint ctx n) in
       match s.s_dtype with
       | Imp.Float ->
           let cx = cfloat ctx x in
-          if ctx.checked then
-            fun env ->
-              let arr = env.farr.(i) in
-              Array.fill arr 0 (checked_n env (Array.length arr)) (cx env)
-          else fun env -> Array.fill env.farr.(i) 0 (cn env) (cx env)
+          fun env -> Array.fill env.farr.(i) 0 (cn env) (cx env)
       | Imp.Int | Imp.Bool -> terror "fill on non-float array %s" v)
-  | Imp.For (v, lo, hi, body) -> (
+  | Imp.For (v, lo, hi, body) ->
       let i = (find_slot ctx v).s_index in
       let clo = cint ctx lo and chi = cint ctx hi in
-      let bctx = { ctx with depth = ctx.depth + 1 } in
-      let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
+      let cbody = cblock { ctx with depth = ctx.depth + 1 } body in
       let kname = ctx.kname in
       let guarded = ctx.depth = 0 in
-      match ctx.prof with
-      | None ->
-          fun env ->
-            let hi = chi env in
-            let ints = env.ints in
-            let deadline = env.deadline_ns in
-            if guarded && deadline <> Int64.max_int then
-              for x = clo env to hi - 1 do
-                if x land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                  cancelled ~kname;
-                Array.unsafe_set ints i x;
-                cbody env
-              done
-            else
-              (* The loop variable may be read but not written by the body, so
-                 the native for counter can own the induction. *)
-              for x = clo env to hi - 1 do
-                Array.unsafe_set ints i x;
-                cbody env
-              done
-      | Some st ->
-          fun env ->
-            let lo = clo env in
-            let hi = chi env in
-            if hi > lo then st.p_iters <- st.p_iters + (hi - lo);
-            let ints = env.ints in
-            let deadline = env.deadline_ns in
-            let guarded = guarded && deadline <> Int64.max_int in
-            for x = lo to hi - 1 do
-              if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                cancelled ~kname;
-              Array.unsafe_set ints i x;
-              cbody env
-            done)
-  | Imp.ParallelFor (v, lo, hi, body, info) -> (
+      fun env ->
+        let hi = chi env in
+        range_loop ~kname ~guarded i cbody env (clo env) hi
+  | Imp.ParallelFor (v, lo, hi, body, info) ->
       let i = (find_slot ctx v).s_index in
       let clo = cint ctx lo and chi = cint ctx hi in
-      let bctx = { ctx with depth = ctx.depth + 1 } in
-      let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
+      let cbody = cblock { ctx with depth = ctx.depth + 1 } body in
       let kname = ctx.kname in
       (* Resolve the merge metadata to slots up front so a malformed
-         annotation fails at compile time, profiled or not. *)
+         annotation fails at compile time. *)
       let array_slot what name =
         let s = find_slot ctx name in
         if not s.s_array then terror "parallel %s %s is not an array" what name;
@@ -988,317 +951,238 @@ and cstmt_base ctx (s : Imp.stmt) : env -> unit =
             (cs.s_index, arrs, pos))
           info.Imp.par_stage
       in
-      match ctx.prof with
-      | Some st ->
-          (* Profiled closures bump one shared mutable counter record;
-             parallel chunks would race on it. Profiled compilations
-             therefore execute the loop sequentially — bit-identical by
-             the determinism contract. *)
-          fun env ->
-            let lo = clo env in
-            let hi = chi env in
-            if hi > lo then st.p_iters <- st.p_iters + (hi - lo);
-            let ints = env.ints in
-            let deadline = env.deadline_ns in
-            let guarded = deadline <> Int64.max_int in
-            for x = lo to hi - 1 do
-              if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                cancelled ~kname;
-              Array.unsafe_set ints i x;
-              cbody env
-            done
-      | None ->
-          let copy_slot penv (t, si) =
-            match t with
-            | Imp.Int -> penv.iarr.(si) <- Array.copy penv.iarr.(si)
-            | Imp.Float -> penv.farr.(si) <- Array.copy penv.farr.(si)
-            | Imp.Bool -> penv.barr.(si) <- Array.copy penv.barr.(si)
+      (* Profiled closures bump one shared mutable counter record, which
+         parallel chunks would race on, so a profiled loop runs
+         sequentially — bit-identical by the determinism contract. *)
+      let sequential = ctx.prof <> None in
+      let copy_slot penv (t, si) =
+        match t with
+        | Imp.Int -> penv.iarr.(si) <- Array.copy penv.iarr.(si)
+        | Imp.Float -> penv.farr.(si) <- Array.copy penv.farr.(si)
+        | Imp.Bool -> penv.barr.(si) <- Array.copy penv.barr.(si)
+      in
+      fun env ->
+        let hi = chi env in
+        let lo = clo env in
+        let total = hi - lo in
+        let want = env.par_domains in
+        if sequential || want <= 1 || total <= 1 then
+          range_loop ~kname ~guarded:true i cbody env lo hi
+        else begin
+          (* Deterministic chunking: [want] contiguous chunks of the
+             iteration space, regardless of how many domains the
+             budget actually grants. Every chunk starts from a
+             private copy of the pre-loop environment — scalars and
+             slot tables are copied wholesale (so in-body
+             Alloc/Realloc stay private), the annotated private and
+             staged arrays are deep-copied, and everything else
+             shares storage: inputs are read-only and non-staged
+             output writes are disjoint across chunks. *)
+          let nchunks = min want total in
+          let bounds = Array.init (nchunks + 1) (fun k -> lo + (total * k / nchunks)) in
+          let c0 = match stage with None -> 0 | Some (ci, _, _) -> env.ints.(ci) in
+          let mk_penv () =
+            let p =
+              {
+                ints = Array.copy env.ints;
+                floats = Array.copy env.floats;
+                bools = Array.copy env.bools;
+                iarr = Array.copy env.iarr;
+                farr = Array.copy env.farr;
+                barr = Array.copy env.barr;
+                par_domains = 1;
+                deadline_ns = env.deadline_ns;
+              }
+            in
+            List.iter (copy_slot p) priv;
+            (match stage with
+            | None -> ()
+            | Some (_, arrs, pos) ->
+                List.iter (copy_slot p) arrs;
+                Option.iter (fun pi -> p.iarr.(pi) <- Array.copy p.iarr.(pi)) pos);
+            p
           in
-          fun env ->
-            let lo = clo env and hi = chi env in
-            let total = hi - lo in
-            let want = env.par_domains in
-            if want <= 1 || total <= 1 then begin
-              let ints = env.ints in
-              let deadline = env.deadline_ns in
-              let guarded = deadline <> Int64.max_int in
-              for x = lo to hi - 1 do
-                if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline
-                then cancelled ~kname;
-                Array.unsafe_set ints i x;
-                cbody env
-              done
-            end
-            else begin
-              (* Deterministic chunking: [want] contiguous chunks of the
-                 iteration space, regardless of how many domains the
-                 budget actually grants. Every chunk starts from a
-                 private copy of the pre-loop environment — scalars and
-                 slot tables are copied wholesale (so in-body
-                 Alloc/Realloc stay private), the annotated private and
-                 staged arrays are deep-copied, and everything else
-                 shares storage: inputs are read-only and non-staged
-                 output writes are disjoint across chunks. *)
-              let nchunks = min want total in
-              let bounds = Array.init (nchunks + 1) (fun k -> lo + (total * k / nchunks)) in
-              let c0 = match stage with None -> 0 | Some (ci, _, _) -> env.ints.(ci) in
-              let mk_penv () =
-                let p =
-                  {
-                    ints = Array.copy env.ints;
-                    floats = Array.copy env.floats;
-                    bools = Array.copy env.bools;
-                    iarr = Array.copy env.iarr;
-                    farr = Array.copy env.farr;
-                    barr = Array.copy env.barr;
-                    par_domains = 1;
-                    deadline_ns = env.deadline_ns;
-                  }
-                in
-                List.iter (copy_slot p) priv;
-                (match stage with
-                | None -> ()
-                | Some (_, arrs, pos) ->
-                    List.iter (copy_slot p) arrs;
-                    Option.iter (fun pi -> p.iarr.(pi) <- Array.copy p.iarr.(pi)) pos);
-                p
-              in
-              let penvs = Array.init nchunks (fun _ -> mk_penv ()) in
-              let run_chunk d =
-                Fault.hit ~stage:Diag.Execute "par.chunk";
-                let p = penvs.(d) in
-                let ints = p.ints in
-                let deadline = p.deadline_ns in
-                let guarded = deadline <> Int64.max_int in
-                for x = bounds.(d) to bounds.(d + 1) - 1 do
-                  if guarded && x land watchdog_mask = 0 && Trace.now_ns () > deadline
-                  then cancelled ~kname;
-                  Array.unsafe_set ints i x;
-                  cbody p
+          let penvs = Array.init nchunks (fun _ -> mk_penv ()) in
+          let run_chunk d =
+            Fault.hit ~stage:Diag.Execute "par.chunk";
+            range_loop ~kname ~guarded:true i cbody penvs.(d) bounds.(d) bounds.(d + 1)
+          in
+          (* Chunks run on 1 + however many extra domains the budget
+             grants; chunk-to-domain placement cannot affect results
+             (each chunk is self-contained until the merge). *)
+          let extra = Budget.acquire (nchunks - 1) in
+          Fun.protect
+            ~finally:(fun () -> Budget.release extra)
+            (fun () ->
+              if extra = 0 then
+                for d = 0 to nchunks - 1 do
+                  run_chunk d
                 done
-              in
-              (* Chunks run on 1 + however many extra domains the budget
-                 grants; chunk-to-domain placement cannot affect results
-                 (each chunk is self-contained until the merge). *)
-              let extra = Budget.acquire (nchunks - 1) in
-              Fun.protect
-                ~finally:(fun () -> Budget.release extra)
-                (fun () ->
-                  if extra = 0 then
-                    for d = 0 to nchunks - 1 do
-                      run_chunk d
-                    done
+              else begin
+                let groups = extra + 1 in
+                let group g =
+                  let glo = nchunks * g / groups and ghi = nchunks * (g + 1) / groups in
+                  for d = glo to ghi - 1 do
+                    run_chunk d
+                  done
+                in
+                let workers =
+                  List.init extra (fun g -> Domain.spawn (fun () -> group (g + 1)))
+                in
+                (* Join every worker even when one raises: a chunk
+                   failure (watchdog, injected fault, bounds) must
+                   not leak live domains or skew the Budget pot.
+                   The first failure wins; ours takes precedence
+                   since it fired first in program order. *)
+                let own = (try group 0; None with e -> Some e) in
+                let failed =
+                  List.fold_left
+                    (fun acc w ->
+                      match (try Domain.join w; None with e -> Some e) with
+                      | Some _ as e when acc = None -> e
+                      | _ -> acc)
+                    own workers
+                in
+                Option.iter raise failed
+              end);
+          (* Merge, in chunk order. Stage concatenation first (it
+             reads the pre-loop arrays still referenced by [env]'s
+             own tables), then scalars and tables from the last
+             chunk (sequential semantics: the final environment is
+             the one the last iteration leaves behind). *)
+          let merged = ref [] in
+          let tot = ref c0 in
+          (match stage with
+          | None -> ()
+          | Some (ci, arrs, pos) ->
+              let counts = Array.init nchunks (fun d -> penvs.(d).ints.(ci) - c0) in
+              let bases = Array.make (nchunks + 1) c0 in
+              for d = 0 to nchunks - 1 do
+                bases.(d + 1) <- bases.(d) + counts.(d)
+              done;
+              tot := bases.(nchunks);
+              (* Concatenate a staged array: chunk [d] appended its
+                 entries at [c0..c0+counts d) of its private copy;
+                 they land at [bases d ..) of the merged array. The
+                 original pre-loop array still holds the [0, c0)
+                 prefix untouched (every chunk wrote only to its
+                 copy), so it can be reused when large enough. *)
+              let blit_segments ~get ~make si =
+                let orig = get env si in
+                let dst =
+                  if Array.length orig >= !tot then orig
                   else begin
-                    let groups = extra + 1 in
-                    let group g =
-                      let glo = nchunks * g / groups and ghi = nchunks * (g + 1) / groups in
-                      for d = glo to ghi - 1 do
-                        run_chunk d
-                      done
-                    in
-                    let workers =
-                      List.init extra (fun g -> Domain.spawn (fun () -> group (g + 1)))
-                    in
-                    (* Join every worker even when one raises: a chunk
-                       failure (watchdog, injected fault, bounds) must
-                       not leak live domains or skew the Budget pot.
-                       The first failure wins; ours takes precedence
-                       since it fired first in program order. *)
-                    let own = (try group 0; None with e -> Some e) in
-                    let failed =
-                      List.fold_left
-                        (fun acc w ->
-                          match (try Domain.join w; None with e -> Some e) with
-                          | Some _ as e when acc = None -> e
-                          | _ -> acc)
-                        own workers
-                    in
-                    Option.iter raise failed
-                  end);
-              (* Merge, in chunk order. Stage concatenation first (it
-                 reads the pre-loop arrays still referenced by [env]'s
-                 own tables), then scalars and tables from the last
-                 chunk (sequential semantics: the final environment is
-                 the one the last iteration leaves behind). *)
-              let merged = ref [] in
-              let tot = ref c0 in
-              (match stage with
-              | None -> ()
-              | Some (ci, arrs, pos) ->
-                  let counts = Array.init nchunks (fun d -> penvs.(d).ints.(ci) - c0) in
-                  let bases = Array.make (nchunks + 1) c0 in
-                  for d = 0 to nchunks - 1 do
-                    bases.(d + 1) <- bases.(d) + counts.(d)
-                  done;
-                  tot := bases.(nchunks);
-                  (* Concatenate a staged array: chunk [d] appended its
-                     entries at [c0..c0+counts d) of its private copy;
-                     they land at [bases d ..) of the merged array. The
-                     original pre-loop array still holds the [0, c0)
-                     prefix untouched (every chunk wrote only to its
-                     copy), so it can be reused when large enough. *)
-                  let blit_segments ~get ~make si =
-                    let orig = get env si in
-                    let dst =
-                      if Array.length orig >= !tot then orig
-                      else begin
-                        let grown = make (max !tot (2 * Array.length orig)) in
-                        Array.blit orig 0 grown 0 c0;
-                        grown
-                      end
-                    in
-                    for d = 0 to nchunks - 1 do
-                      if counts.(d) > 0 then
-                        Array.blit (get penvs.(d) si) c0 dst bases.(d) counts.(d)
-                    done;
-                    dst
-                  in
-                  List.iter
-                    (fun (t, si) ->
-                      match t with
-                      | Imp.Int ->
-                          let a =
-                            blit_segments ~get:(fun e k -> e.iarr.(k))
-                              ~make:(fun n -> Array.make n 0)
-                              si
-                          in
-                          merged := `I (si, a) :: !merged
-                      | Imp.Float ->
-                          let a =
-                            blit_segments ~get:(fun e k -> e.farr.(k))
-                              ~make:(fun n -> Array.make n 0.)
-                              si
-                          in
-                          merged := `F (si, a) :: !merged
-                      | Imp.Bool ->
-                          let a =
-                            blit_segments ~get:(fun e k -> e.barr.(k))
-                              ~make:(fun n -> Array.make n false)
-                              si
-                          in
-                          merged := `B (si, a) :: !merged)
-                    arrs;
-                  Option.iter
-                    (fun pi ->
-                      (* Each chunk closed its own rows' pos entries
-                         against its local counter (which started at
-                         [c0]); rebase them by the chunk's global start
-                         offset into the shared pre-loop array. *)
-                      let orig_pos = env.iarr.(pi) in
-                      for d = 0 to nchunks - 1 do
-                        let src = penvs.(d).iarr.(pi) in
-                        let delta = bases.(d) - c0 in
-                        for k = bounds.(d) + 1 to bounds.(d + 1) do
-                          orig_pos.(k) <- src.(k) + delta
-                        done
-                      done;
-                      merged := `I (pi, orig_pos) :: !merged)
-                    pos);
-              let last = penvs.(nchunks - 1) in
-              Array.blit last.ints 0 env.ints 0 (Array.length env.ints);
-              Array.blit last.floats 0 env.floats 0 (Array.length env.floats);
-              Array.blit last.bools 0 env.bools 0 (Array.length env.bools);
-              Array.blit last.iarr 0 env.iarr 0 (Array.length env.iarr);
-              Array.blit last.farr 0 env.farr 0 (Array.length env.farr);
-              Array.blit last.barr 0 env.barr 0 (Array.length env.barr);
+                    let grown = make (max !tot (2 * Array.length orig)) in
+                    Array.blit orig 0 grown 0 c0;
+                    grown
+                  end
+                in
+                for d = 0 to nchunks - 1 do
+                  if counts.(d) > 0 then
+                    Array.blit (get penvs.(d) si) c0 dst bases.(d) counts.(d)
+                done;
+                dst
+              in
               List.iter
-                (function
-                  | `I (k, a) -> env.iarr.(k) <- a
-                  | `F (k, a) -> env.farr.(k) <- a
-                  | `B (k, a) -> env.barr.(k) <- a)
-                !merged;
-              (match stage with
-              | None -> ()
-              | Some (ci, _, _) -> env.ints.(ci) <- !tot);
-              if Trace.active () then begin
-                Trace.add "exec.par.regions" 1;
-                Trace.add "exec.par.chunks" nchunks;
-                Trace.add "exec.par.domains" (extra + 1)
-              end
-            end)
-  | Imp.While (c, body) -> (
-      let cc = cbool ctx c in
-      let bctx = { ctx with depth = ctx.depth + 1 } in
-      let cbody = seq (Array.of_list (List.map (cstmt bctx) body)) in
-      let kname = ctx.kname in
-      let guarded = ctx.depth = 0 in
-      match ctx.prof with
-      | None ->
-          fun env ->
-            if guarded && env.deadline_ns <> Int64.max_int then begin
-              let deadline = env.deadline_ns in
-              let n = ref 0 in
-              while cc env do
-                incr n;
-                if !n land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                  cancelled ~kname;
-                cbody env
-              done
-            end
-            else
-              while cc env do
-                cbody env
-              done
-      | Some st ->
-          fun env ->
-            let deadline = env.deadline_ns in
-            let guarded = guarded && deadline <> Int64.max_int in
-            let n = ref 0 in
-            while cc env do
-              st.p_iters <- st.p_iters + 1;
-              incr n;
-              if guarded && !n land watchdog_mask = 0 && Trace.now_ns () > deadline then
-                cancelled ~kname;
-              cbody env
-            done)
+                (fun (t, si) ->
+                  match t with
+                  | Imp.Int ->
+                      let a =
+                        blit_segments ~get:(fun e k -> e.iarr.(k))
+                          ~make:(fun n -> Array.make n 0)
+                          si
+                      in
+                      merged := `I (si, a) :: !merged
+                  | Imp.Float ->
+                      let a =
+                        blit_segments ~get:(fun e k -> e.farr.(k))
+                          ~make:(fun n -> Array.make n 0.)
+                          si
+                      in
+                      merged := `F (si, a) :: !merged
+                  | Imp.Bool ->
+                      let a =
+                        blit_segments ~get:(fun e k -> e.barr.(k))
+                          ~make:(fun n -> Array.make n false)
+                          si
+                      in
+                      merged := `B (si, a) :: !merged)
+                arrs;
+              Option.iter
+                (fun pi ->
+                  (* Each chunk closed its own rows' pos entries
+                     against its local counter (which started at
+                     [c0]); rebase them by the chunk's global start
+                     offset into the shared pre-loop array. *)
+                  let orig_pos = env.iarr.(pi) in
+                  for d = 0 to nchunks - 1 do
+                    let src = penvs.(d).iarr.(pi) in
+                    let delta = bases.(d) - c0 in
+                    for k = bounds.(d) + 1 to bounds.(d + 1) do
+                      orig_pos.(k) <- src.(k) + delta
+                    done
+                  done;
+                  merged := `I (pi, orig_pos) :: !merged)
+                pos);
+          let last = penvs.(nchunks - 1) in
+          Array.blit last.ints 0 env.ints 0 (Array.length env.ints);
+          Array.blit last.floats 0 env.floats 0 (Array.length env.floats);
+          Array.blit last.bools 0 env.bools 0 (Array.length env.bools);
+          Array.blit last.iarr 0 env.iarr 0 (Array.length env.iarr);
+          Array.blit last.farr 0 env.farr 0 (Array.length env.farr);
+          Array.blit last.barr 0 env.barr 0 (Array.length env.barr);
+          List.iter
+            (function
+              | `I (k, a) -> env.iarr.(k) <- a
+              | `F (k, a) -> env.farr.(k) <- a
+              | `B (k, a) -> env.barr.(k) <- a)
+            !merged;
+          (match stage with
+          | None -> ()
+          | Some (ci, _, _) -> env.ints.(ci) <- !tot);
+          if Trace.active () then begin
+            Trace.add "exec.par.regions" 1;
+            Trace.add "exec.par.chunks" nchunks;
+            Trace.add "exec.par.domains" (extra + 1)
+          end
+        end
+  | Imp.While (c, body) -> cwhile ctx (cbool ctx c) body
   | Imp.If (c, t, []) ->
       let cc = cbool ctx c in
-      let ct = seq (Array.of_list (List.map (cstmt ctx) t)) in
+      let ct = cblock ctx t in
       fun env -> if cc env then ct env
   | Imp.If (c, [], e) ->
       (* Else-only shape, produced by the optimizer's branch flip. *)
       let cc = cbool ctx c in
-      let ce = seq (Array.of_list (List.map (cstmt ctx) e)) in
+      let ce = cblock ctx e in
       fun env -> if not (cc env) then ce env
   | Imp.If (c, t, e) ->
       let cc = cbool ctx c in
-      let ct = seq (Array.of_list (List.map (cstmt ctx) t)) in
-      let ce = seq (Array.of_list (List.map (cstmt ctx) e)) in
+      let ct = cblock ctx t in
+      let ce = cblock ctx e in
       fun env -> if cc env then ct env else ce env
   | Imp.Sort (v, lo, hi, m) -> (
       let s = find_slot ctx v in
       if s.s_dtype <> Imp.Int || not s.s_array then terror "sort expects an int array";
       let i = s.s_index in
-      let clo = cint ctx lo and chi = cint ctx hi in
-      let checked = ctx.checked in
-      let check_range env arr lo hi =
-        if lo < 0 || hi < lo || hi > Array.length arr then
-          oob ~ctx ~var:v ~index:hi ~len:(Array.length arr);
-        ignore env
-      in
+      let clo = cint ctx lo in
+      let chi = span ctx ~var:v ~len:(length_of s) ~lo:clo (cint ctx hi) in
       match m with
       | None ->
           fun env ->
-            let arr = env.iarr.(i) in
             let lo = clo env and hi = chi env in
-            if checked then check_range env arr lo hi;
-            sort_int_range arr lo hi
+            sort_int_range env.iarr.(i) lo hi
       | Some { Imp.seen; extent } ->
           let ms = find_slot ctx seen in
           if ms.s_dtype <> Imp.Bool || not ms.s_array then terror "sort mask expects a bool array";
           let mi = ms.s_index in
-          let cext = cint ctx extent in
+          let cext = span ctx ~var:seen ~len:(length_of ms) (cint ctx extent) in
           fun env ->
             let arr = env.iarr.(i) in
             let lo = clo env and hi = chi env in
-            if checked then check_range env arr lo hi;
             let extent = cext env in
-            if Imp.mask_scan_pays ~count:(hi - lo) ~extent then begin
-              let mask = env.barr.(mi) in
-              if checked && extent > Array.length mask then
-                oob ~ctx ~var:seen ~index:extent ~len:(Array.length mask);
-              scan_mask_into arr lo hi mask extent
-            end
+            if Imp.mask_scan_pays ~count:(hi - lo) ~extent then
+              scan_mask_into arr lo hi env.barr.(mi) extent
             else sort_int_range arr lo hi)
   | Imp.Comment _ -> fun _ -> ()
 

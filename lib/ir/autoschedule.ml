@@ -18,28 +18,6 @@ let step_to_string = function
         (Heuristics.reason_to_string s.Heuristics.reason)
   | Parallelized v -> Printf.sprintf "parallelize(%s)" (Index_var.name v)
 
-(* Workspace names are derived from the statement and the suggestion, so
-   two searches over the same statement — on any domain, in any order —
-   produce identical names. A global counter here raced under
-   concurrent service compiles and leaked nondeterministic names into
-   structural cache keys. *)
-let fresh_workspace stmt (s : Heuristics.suggestion) =
-  let tag =
-    Digest.to_hex
-      (Digest.string
-         (String.concat "|"
-            [
-              Cin.to_string stmt;
-              Stdlib.Format.asprintf "%a" Cin.pp_expr s.Heuristics.expr;
-              String.concat "," (List.map Index_var.name s.Heuristics.over);
-            ]))
-  in
-  let over = s.Heuristics.over in
-  Tensor_var.workspace
-    (Printf.sprintf "ws_%s" (String.sub tag 0 8))
-    ~order:(List.length over)
-    ~format:(Taco_tensor.Format.dense (List.length over))
-
 (* Candidate moves from a statement: workspace heuristics first (they
    remove scatters, which reorders cannot), then loop interchanges.
    Each candidate is a child statement plus the steps that reach it
@@ -48,7 +26,7 @@ let candidates stmt =
   let from_heuristics =
     List.filter_map
       (fun (s : Heuristics.suggestion) ->
-        let w = fresh_workspace stmt s in
+        let w = Heuristics.fresh_workspace stmt s in
         match
           Workspace.precompute stmt ~expr:s.Heuristics.expr ~over:s.Heuristics.over
             ~workspace:w

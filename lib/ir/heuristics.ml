@@ -163,7 +163,24 @@ let suggest_for_assignment ~sparse_threshold (enclosing, (lhs : Cin.access), op,
 let suggest ?(sparse_threshold = 3) stmt =
   List.concat_map (suggest_for_assignment ~sparse_threshold) (assignments [] stmt)
 
-let workspace_counter = ref 0
+(* Workspace names are derived from the statement and the suggestion, so
+   two transformations of the same statement — on any domain, in any
+   order — produce identical names and identical statements. *)
+let fresh_workspace stmt s =
+  let tag =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "|"
+            [
+              Cin.to_string stmt;
+              Stdlib.Format.asprintf "%a" Cin.pp_expr s.expr;
+              String.concat "," (List.map Index_var.name s.over);
+            ]))
+  in
+  Tensor_var.workspace
+    (Printf.sprintf "ws_%s" (String.sub tag 0 8))
+    ~order:(List.length s.over)
+    ~format:(F.dense (List.length s.over))
 
 let apply_all ?(max_rounds = 4) stmt =
   let rec go stmt applied round =
@@ -172,13 +189,7 @@ let apply_all ?(max_rounds = 4) stmt =
       match suggest stmt with
       | [] -> (stmt, List.rev applied)
       | s :: _ -> (
-          incr workspace_counter;
-          let workspace =
-            Tensor_var.workspace
-              (Printf.sprintf "w%d" !workspace_counter)
-              ~order:(List.length s.over)
-              ~format:(F.dense (List.length s.over))
-          in
+          let workspace = fresh_workspace stmt s in
           match Workspace.precompute stmt ~expr:s.expr ~over:s.over ~workspace with
           | Ok stmt' ->
               if Cin.equal_stmt stmt stmt' then (stmt, List.rev applied)

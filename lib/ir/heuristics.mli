@@ -31,7 +31,13 @@ val reason_to_string : reason -> string
     [sparse_threshold] is the merge-arity cutoff (default 3, per §V-C). *)
 val suggest : ?sparse_threshold:int -> Cin.stmt -> suggestion list
 
-(** Apply the first applicable suggestion, creating a fresh dense
-    workspace, until none remain or [max_rounds] is hit. Returns the
-    transformed statement and the suggestions applied. *)
+(** A dense workspace for applying suggestion [s] to [stmt], named
+    [ws_<hash>] after a digest of both: the same statement and
+    suggestion always give the same name, on any domain. *)
+val fresh_workspace : Cin.stmt -> suggestion -> Tensor_var.t
+
+(** Apply the first applicable suggestion, creating a dense workspace
+    with {!fresh_workspace}, until none remain or [max_rounds] is hit.
+    Returns the transformed statement and the suggestions applied; two
+    calls on the same statement return equal statements. *)
 val apply_all : ?max_rounds:int -> Cin.stmt -> Cin.stmt * suggestion list

@@ -161,92 +161,6 @@ and stmts_nodes body = List.fold_left (fun acc s -> acc + stmt_nodes s) 0 body
 
 let node_count kernel = stmts_nodes kernel.k_body
 
-let check kernel =
-  let exception Problem of string in
-  let known = Hashtbl.create 32 in
-  List.iter (fun p -> Hashtbl.replace known p.p_name ()) kernel.k_params;
-  let use_expr e =
-    List.iter
-      (fun v ->
-        if not (Hashtbl.mem known v) then
-          raise (Problem (Printf.sprintf "variable %s used before declaration" v)))
-      (expr_vars e)
-  in
-  let use_var v =
-    if not (Hashtbl.mem known v) then
-      raise (Problem (Printf.sprintf "variable %s used before declaration" v))
-  in
-  let declare v =
-    (* Loop variables and block-scoped declarations may shadow/repeat on
-       sibling paths; we only require definition before use. *)
-    Hashtbl.replace known v ()
-  in
-  let rec go_stmt = function
-    | Decl (_, v, e) ->
-        use_expr e;
-        declare v
-    | Assign (v, e) ->
-        use_expr e;
-        use_var v
-    | Store (a, i, v) | Store_add (a, i, v) | Store_reduce (_, a, i, v) | Fill (a, i, v) ->
-        use_var a;
-        use_expr i;
-        use_expr v
-    | Alloc (_, v, n) ->
-        use_expr n;
-        declare v
-    | Realloc (v, n) ->
-        use_var v;
-        use_expr n
-    | Memset (v, n) ->
-        use_var v;
-        use_expr n
-    | For (v, lo, hi, body) ->
-        use_expr lo;
-        use_expr hi;
-        declare v;
-        List.iter go_stmt body
-    | ParallelFor (v, lo, hi, body, info) ->
-        use_expr lo;
-        use_expr hi;
-        (* The merge metadata names arrays and counters that must already
-           exist at loop entry (workspaces and staging buffers are
-           allocated before the parallel region). *)
-        List.iter use_var info.par_private;
-        Option.iter
-          (fun st ->
-            use_var st.pa_counter;
-            List.iter use_var st.pa_arrays;
-            Option.iter use_var st.pa_pos)
-          info.par_stage;
-        declare v;
-        List.iter go_stmt body
-    | While (c, body) ->
-        use_expr c;
-        List.iter go_stmt body
-    | If (c, t, e) ->
-        use_expr c;
-        List.iter go_stmt t;
-        List.iter go_stmt e
-    | Sort (v, lo, hi, m) ->
-        use_var v;
-        use_expr lo;
-        use_expr hi;
-        List.iter use_var (mask_names m);
-        List.iter use_expr (mask_exprs m)
-    | Comment _ -> ()
-  in
-  match
-    List.iter go_stmt kernel.k_body;
-    List.iter
-      (fun (a, n) ->
-        use_var a;
-        use_expr n)
-      kernel.k_returns
-  with
-  | () -> Ok ()
-  | exception Problem msg -> Error msg
-
 (* ------------------------------------------------------------------ *)
 (* Typed validation                                                    *)
 (* ------------------------------------------------------------------ *)

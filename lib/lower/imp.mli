@@ -170,21 +170,17 @@ val expr_vars : expr -> string list
     variables and arrays). *)
 val declared : stmt list -> string list
 
-(** Check the kernel: every used variable is a parameter or declared
-    before use, declarations are unique per scope path, loop variables
-    fresh. Returns the first problem found. *)
-val check : kernel -> (unit, string) result
-
 (** Total number of expression and statement nodes in the kernel body —
     the IR size metric reported per optimizer pass. *)
 val node_count : kernel -> int
 
-(** Full verifier pass over a lowered kernel: {!check}'s def-before-use
-    discipline plus type consistency (arithmetic/comparison/logical
-    operand types, declaration and store types) and array/scalar arity
-    (scalars never indexed, arrays never used bare). Runs after lowering
-    and before compilation so type errors name the offending variable at
-    the IR level instead of surfacing from the executor. *)
+(** Full verifier pass over a lowered kernel: def-before-use (every
+    used variable is a parameter or declared earlier on its path) plus
+    type consistency (arithmetic/comparison/logical operand types,
+    declaration and store types) and array/scalar arity (scalars never
+    indexed, arrays never used bare). Runs after lowering and before
+    compilation so type errors name the offending variable at the IR
+    level instead of surfacing from the executor. *)
 val validate : kernel -> (unit, string) result
 
 val pp_expr : Format.formatter -> expr -> unit

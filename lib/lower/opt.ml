@@ -37,13 +37,12 @@ let none =
 (* Rewrite-fire accounting: every pass bumps [fires] at each discrete
    rewrite it performs (a fold, a fused memset, a hoisted decl, a
    dropped statement, ...). [optimize_stats] resets the counter around
-   each pass and reports the per-pass totals. The counter is a plain
-   module-level ref: concurrent optimizations from several domains
-   would interleave counts (stats only — kernel results are
-   unaffected). *)
-let fires = ref 0
+   each pass and reports the per-pass totals. The counter is
+   domain-local, so optimizations running concurrently on several
+   domains (service workers) each count only their own rewrites. *)
+let fires = Domain.DLS.new_key (fun () -> ref 0)
 
-let fire () = incr fires
+let fire () = incr (Domain.DLS.get fires)
 
 (* ------------------------------------------------------------------ *)
 (* Shared analysis helpers                                             *)
@@ -1232,6 +1231,7 @@ let optimize_stats ?(config = all) k =
             | [] -> Ok (k, List.rev acc)
             | (name, f) :: rest -> (
                 let nodes_before = node_count k in
+                let fires = Domain.DLS.get fires in
                 fires := 0;
                 Taco_support.Faultinject.hit ~stage:Taco_support.Diag.Compile "opt.pass";
                 let t0 = Trace.now_ns () in

@@ -290,6 +290,66 @@ let test_checked_bounds () =
       Alcotest.(check string) "length" "3" (context_value "bounds" "length" d);
       Alcotest.(check string) "index" "3" (context_value "bounds" "index" d)
 
+(* Checked mode on every kind of access: each hand-built kernel overruns
+   one array by one element, and the bounds diagnostic must name that
+   array, the offending index and the array's length. The int array [ai]
+   and the float array [af] come in as parameters, the bool array [ab] is
+   allocated; all three hold 3 elements. *)
+let test_checked_bounds_table () =
+  let module Imp = Taco_lower.Imp in
+  let i n = Imp.Int_lit n in
+  let arr name dtype = { Imp.p_name = name; p_dtype = dtype; p_array = true; p_output = true } in
+  let cases =
+    [
+      ("int load", Imp.Decl (Imp.Int, "x", Imp.Load ("ai", i 3)), "ai", 3);
+      ("float load", Imp.Decl (Imp.Float, "x", Imp.Load ("af", i 3)), "af", 3);
+      ("bool load", Imp.Decl (Imp.Bool, "x", Imp.Load ("ab", i 3)), "ab", 3);
+      ("int store", Imp.Store ("ai", i 3, i 1), "ai", 3);
+      ("float store", Imp.Store ("af", i 3, Imp.Float_lit 1.), "af", 3);
+      ("bool store", Imp.Store ("ab", i 3, Imp.Bool_lit true), "ab", 3);
+      (* The index is checked before the stored value is evaluated. *)
+      ("store index first", Imp.Store ("af", i 3, Imp.Load ("af", i 4)), "af", 3);
+      ("int +=", Imp.Store_add ("ai", i 3, i 1), "ai", 3);
+      ("float +=", Imp.Store_add ("af", i 3, Imp.Float_lit 1.), "af", 3);
+      ("reduce-store", Imp.Store_reduce (Imp.Red_min, "af", i 3, Imp.Float_lit 1.), "af", 3);
+      ("memset", Imp.Memset ("af", i 4), "af", 4);
+      ("fill", Imp.Fill ("af", i 4, Imp.Float_lit 1.), "af", 4);
+      ("sort range", Imp.Sort ("ai", i 0, i 4, None), "ai", 4);
+      ( "sort mask extent",
+        Imp.Sort ("ai", i 0, i 1, Some { Imp.seen = "ab"; extent = i 4 }),
+        "ab",
+        4 );
+    ]
+  in
+  List.iter
+    (fun (what, stmt, var, index) ->
+      let k =
+        {
+          Imp.k_name = "overrun";
+          k_params = [ arr "ai" Imp.Int; arr "af" Imp.Float ];
+          k_body = [ Imp.Alloc (Imp.Bool, "ab", i 3); stmt ];
+          k_returns = [];
+        }
+      in
+      let c = Compile.compile ~checked:true ~opt:Taco_lower.Opt.none ~cache:false k in
+      let args =
+        [
+          ("ai", Compile.Aint_array (Array.make 3 0));
+          ("af", Compile.Afloat_array (Array.make 3 0.));
+        ]
+      in
+      match Compile.run c ~args with
+      | (_ : string -> Compile.arg) -> Alcotest.fail (what ^ ": overrun not caught")
+      | exception Diag.Error d ->
+          Alcotest.(check string) (what ^ ": code") "E_EXEC_BOUNDS" d.Diag.code;
+          Alcotest.(check string) (what ^ ": variable") var (context_value what "variable" d);
+          Alcotest.(check string)
+            (what ^ ": index")
+            (string_of_int index)
+            (context_value what "index" d);
+          Alcotest.(check string) (what ^ ": length") "3" (context_value what "length" d))
+    cases
+
 let test_unchecked_by_default () =
   let x = Tensor_var.make "x" ~order:1 ~format:F.dense_vector in
   let b = Tensor_var.make "b" ~order:1 ~format:F.dense_vector in
@@ -363,6 +423,7 @@ let () =
             test_scatter_without_workspace_is_lower_error;
           Alcotest.test_case "workspace precondition" `Quick test_workspace_precondition;
           Alcotest.test_case "checked bounds" `Quick test_checked_bounds;
+          Alcotest.test_case "checked bounds per access" `Quick test_checked_bounds_table;
           Alcotest.test_case "unchecked by default" `Quick test_unchecked_by_default;
           Alcotest.test_case "ill-typed kernel" `Quick test_compile_res_ill_typed;
           Alcotest.test_case "diagnostic rendering" `Quick test_diag_to_string;

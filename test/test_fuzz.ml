@@ -225,6 +225,9 @@ let fault_survived = ref 0
 (* Instances whose cost-search leg ran end to end. *)
 let cost_ran = ref 0
 
+(* Instances whose plain and profiled closures matched the checked ones. *)
+let modes_ran = ref 0
+
 let run_one sc =
   let inst = templates.(sc.template mod Array.length templates) sc in
   (* Random inputs, each checked against the packing invariants. *)
@@ -277,10 +280,10 @@ let run_one sc =
      lowering rejects the schedule (e.g. scatter into a sparse result).
      Compiled twice — optimized (the default) and with every optimizer
      pass disabled — for the differential leg below. *)
-  let compile_with opt =
-    match Taco.compile ~checked:true ~opt sched with
+  let compile_with ?(checked = true) ?profile opt =
+    match Taco.compile ~checked ?profile ~opt sched with
     | Ok c -> Ok c
-    | Error _ -> Result.map fst (Taco.auto_compile ~checked:true ~opt sched)
+    | Error _ -> Result.map fst (Taco.auto_compile ~checked ?profile ~opt sched)
   in
   match (compile_with Taco.Opt.all, compile_with Taco.Opt.none) with
   | Error d, _ ->
@@ -325,6 +328,30 @@ let run_one sc =
                   "optimizer changed result bits at %d (%h vs %h) on %s"
                   idx x b_unopt.(idx) (Cin.to_string plain))
             b_opt;
+          (* Closure-modes leg: the plain closures and the profiled
+             ones must reproduce the checked closures' bits exactly.
+             Bounds checks and work counters decorate one compiled path
+             and must never change what it computes. *)
+          List.iter
+            (fun (what, profile) ->
+              match compile_with ~checked:false ~profile Taco.Opt.all with
+              | Error d -> failf "%s closures stopped compiling: %s" what (Diag.to_string d)
+              | Ok mc -> (
+                  match Taco.run mc ~inputs with
+                  | Error d -> failf "%s closures failed: %s" what (Diag.to_string d)
+                  | Ok mr ->
+                      let mb = D.buffer (T.to_dense mr) in
+                      if Array.length mb <> Array.length b_opt then
+                        failf "%s closures' result differs in shape on %s" what
+                          (Cin.to_string plain);
+                      Array.iteri
+                        (fun idx x ->
+                          if Int64.bits_of_float x <> Int64.bits_of_float b_opt.(idx) then
+                            failf "%s closures changed result bits at %d (%h vs %h) on %s"
+                              what idx x b_opt.(idx) (Cin.to_string plain))
+                        mb))
+            [ ("plain", false); ("profiled", true) ];
+          incr modes_ran;
           (* Native differential leg: the same schedule built by the C
              backend must reproduce the closure bits exactly. A
              downgrade (no compiler, or a structurally unsupported
@@ -740,10 +767,10 @@ let test_semiring_fuzz =
 let test_coverage () =
   Printf.printf
     "fuzz campaign: %d instances ran end to end (%d with a parallel leg, %d native, \
-     %d cost-search), %d rejected; fault leg: %d injected, %d survived bit-identical; \
-     semiring leg: %d ran, %d native\n%!"
-    !ran !par_ran !native_ran !cost_ran !rejected !fault_injected !fault_survived !sr_ran
-    !sr_native_ran;
+     %d cost-search, %d closure-modes), %d rejected; fault leg: %d injected, %d \
+     survived bit-identical; semiring leg: %d ran, %d native\n%!"
+    !ran !par_ran !native_ran !cost_ran !modes_ran !rejected !fault_injected
+    !fault_survived !sr_ran !sr_native_ran;
   Alcotest.(check bool)
     (Printf.sprintf "semiring leg ran natively when a C compiler exists (%d)" !sr_native_ran)
     true

@@ -270,7 +270,7 @@ let test_imp_check_catches_undeclared () =
       k_returns = [];
     }
   in
-  match Imp.check k with Error _ -> () | Ok () -> Alcotest.fail "expected check failure"
+  match Imp.validate k with Error _ -> () | Ok () -> Alcotest.fail "expected check failure"
 
 let test_imp_smart_constructors () =
   Alcotest.(check bool) "0+x" true (Imp.add (Imp.Int_lit 0) (Imp.Var "x") = Imp.Var "x");

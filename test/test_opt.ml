@@ -505,6 +505,24 @@ let test_kernel_exposes_optimized_imp () =
   Alcotest.(check bool) "c_source renders the optimized kernel" true
     (String.length (Kernel.c_source kern) > 0)
 
+let test_fires_per_domain () =
+  (* Two domains optimizing at once must each report their own per-pass
+     fire counts, equal to a sequential run's. *)
+  let k = (spgemm_info ()).Lower.kernel in
+  let fires () =
+    match Opt.optimize_stats k with
+    | Ok (_, stats) -> List.map (fun s -> s.Opt.ps_fires) stats
+    | Error e -> Alcotest.fail e
+  in
+  let expected = fires () in
+  Alcotest.(check bool) "passes fire on spgemm" true (List.fold_left ( + ) 0 expected > 0);
+  let runs () = List.init 200 (fun _ -> fires ()) in
+  let other = Domain.spawn runs in
+  let mine = runs () in
+  List.iter
+    (Alcotest.(check (list int)) "per-pass fires" expected)
+    (mine @ Domain.join other)
+
 (* ------------------------------------------------------------------ *)
 (* compiled-kernel cache                                               *)
 (* ------------------------------------------------------------------ *)
@@ -621,6 +639,7 @@ let () =
         [
           Alcotest.test_case "optimized spgemm validates" `Quick test_optimized_kernel_validates;
           Alcotest.test_case "Kernel.imp shows optimized IR" `Quick test_kernel_exposes_optimized_imp;
+          Alcotest.test_case "fire counts per domain" `Quick test_fires_per_domain;
         ] );
       ( "cache",
         [

@@ -195,6 +195,101 @@ let test_profile_counters () =
       | None -> Alcotest.fail "stats vanished after reset"
       | Some s3 -> Alcotest.(check int) "reset zeroes counters" 0 s3.Compile.iterations)
 
+(* One statement of every kind the profiler counts: a While, an If in a
+   ParallelFor, Realloc, Memset, Fill and both Sort drains. *)
+let control_kernel () =
+  let b x = Imp.Bool_lit x in
+  {
+    Imp.k_name = "trace_control";
+    k_params = [ { Imp.p_name = "y"; p_dtype = Imp.Float; p_array = true; p_output = true } ];
+    k_body =
+      [
+        Imp.Alloc (Imp.Float, "w", i 4);
+        Imp.Memset ("w", i 4);
+        Imp.Fill ("w", i 2, Imp.Float_lit 1.5);
+        Imp.Alloc (Imp.Int, "c", i 2);
+        Imp.Realloc ("c", i 6);
+        Imp.Decl (Imp.Int, "k", i 0);
+        Imp.While
+          ( Imp.Binop (Imp.Lt, v "k", i 6),
+            [
+              Imp.Store ("c", v "k", Imp.Binop (Imp.Sub, i 5, v "k"));
+              Imp.Assign ("k", Imp.Binop (Imp.Add, v "k", i 1));
+            ] );
+        Imp.Sort ("c", i 0, i 6, None);
+        Imp.Alloc (Imp.Bool, "seen", i 8);
+        Imp.Store ("seen", i 1, b true);
+        Imp.Store ("seen", i 5, b true);
+        Imp.Alloc (Imp.Int, "m", i 2);
+        Imp.Store ("m", i 0, i 5);
+        Imp.Store ("m", i 1, i 1);
+        Imp.Sort ("m", i 0, i 2, Some { Imp.seen = "seen"; extent = i 8 });
+        Imp.ParallelFor
+          ( "p",
+            i 0,
+            i 8,
+            [
+              Imp.If
+                ( Imp.Binop (Imp.Lt, v "p", i 2),
+                  [ Imp.Store ("y", v "p", Imp.Load ("w", v "p")) ],
+                  [ Imp.Store ("y", v "p", Imp.Float_lit 2.5) ] );
+            ],
+            { Imp.par_private = []; par_stage = None } );
+      ];
+    k_returns = [];
+  }
+
+let test_profile_control_counters () =
+  let run ~profile domains =
+    let c = Compile.compile ~cache:false ~opt:Opt.none ~profile (control_kernel ()) in
+    let y = Array.make 8 0. in
+    let r = Compile.run ~domains c ~args:[ ("y", Compile.Afloat_array y) ] in
+    let ints name =
+      match r name with Compile.Aint_array a -> a | _ -> Alcotest.fail "expected an int array"
+    in
+    (Compile.profile_stats c, (Array.map Int64.bits_of_float y, ints "c", ints "m"))
+  in
+  let counters s =
+    [
+      ("iterations", s.Compile.iterations);
+      ("scalar_ops", s.Compile.scalar_ops);
+      ("allocs", s.Compile.allocs);
+      ("alloc_elems", s.Compile.alloc_elems);
+      ("zero_bytes", s.Compile.zero_bytes);
+      ("reallocs", s.Compile.reallocs);
+      ("sorts", s.Compile.sorts);
+      ("mask_scans", s.Compile.mask_scans);
+    ]
+  in
+  let expected =
+    [
+      ("iterations", 14) (* 6 While + 8 ParallelFor *);
+      ("scalar_ops", 25) (* decl, 12 in the While, 4 stores, 8 in the If *);
+      ("allocs", 4);
+      ("alloc_elems", 16);
+      ("zero_bytes", 8 * 22) (* 16 allocated, 4 memset, 2 filled *);
+      ("reallocs", 1);
+      ("sorts", 1);
+      ("mask_scans", 1);
+    ]
+  in
+  let _, plain = run ~profile:false 4 in
+  let b = Int64.bits_of_float in
+  Alcotest.(check bool) "results" true
+    (plain
+    = ( Array.map b [| 1.5; 1.5; 2.5; 2.5; 2.5; 2.5; 2.5; 2.5 |],
+        [| 0; 1; 2; 3; 4; 5 |],
+        [| 1; 5 |] ));
+  List.iter
+    (fun domains ->
+      let what = Printf.sprintf "domains=%d" domains in
+      match run ~profile:true domains with
+      | None, _ -> Alcotest.fail (what ^ ": no stats")
+      | Some s, got ->
+          Alcotest.(check (list (pair string int))) (what ^ ": counters") expected (counters s);
+          Alcotest.(check bool) (what ^ ": bit-identical results") true (got = plain))
+    [ 1; 4 ]
+
 let test_unprofiled_reports_none () =
   let c = Compile.compile ~cache:false (profiled_kernel ()) in
   ignore (Compile.run c ~args:[] : string -> Compile.arg);
@@ -227,6 +322,7 @@ let () =
       ( "profile",
         [
           Alcotest.test_case "profiled run counters" `Quick test_profile_counters;
+          Alcotest.test_case "control-flow counters" `Quick test_profile_control_counters;
           Alcotest.test_case "unprofiled reports none" `Quick test_unprofiled_reports_none;
         ] );
     ]

@@ -338,6 +338,13 @@ let test_heuristics_apply_all_preserves () =
   Helpers.check_dense "apply_all preserves semantics"
     (Helpers.eval_cin matmul_ikj ins) (Helpers.eval_cin transformed ins)
 
+let test_heuristics_apply_all_repeatable () =
+  (* Workspaces are named by a digest of the statement, so a repeated
+     transformation yields the same statement. *)
+  let first, _ = Heuristics.apply_all matmul_ikj in
+  let second, _ = Heuristics.apply_all matmul_ikj in
+  Alcotest.(check bool) "equal statements" true (Cin.equal_stmt first second)
+
 (* Property: precompute of a random factor over j preserves semantics. *)
 let prop_precompute_preserves =
   Helpers.qcheck_case ~count:25 "precompute preserves semantics (random inputs)"
@@ -439,6 +446,7 @@ let () =
           Alcotest.test_case "simplify merges" `Quick test_heuristic_merge;
           Alcotest.test_case "quiet on dense copies" `Quick test_heuristic_none_for_dense;
           Alcotest.test_case "apply_all preserves semantics" `Quick test_heuristics_apply_all_preserves;
+          Alcotest.test_case "apply_all is repeatable" `Quick test_heuristics_apply_all_repeatable;
         ] );
       ("properties", [ prop_precompute_preserves; prop_mttkrp_precompute ]);
     ]
